@@ -30,18 +30,16 @@ workflow through the full matchmaking -> scheduling -> container path):
 
 * the default configuration (tracing on, no caches — traces stay
   byte-identical to the pre-optimization code);
-* the legacy one-event-at-a-time kernel (``batched=False``), the
-  comparison row for the batched dispatch path;
 * the per-enactment-recompile configuration (``program_cache_size=0``),
   isolating the compiled-program cache's contribution;
 * the all-knobs throughput configuration (tracing off, fact / match /
   candidate caches, metrics off, async reports, coalesced resumption),
   plus the cache-hit counters of one instrumented run;
-* the ``parallel=N`` multi-environment driver row and a 1k-case serial
-  stress row (the ``--min-stress-cases-per-s`` floor gate watches the
-  latter, host-fingerprint-matched like the obs gate);
-* the batched-vs-legacy byte-identity gate (also standalone via
-  ``--verify-traces``), recorded into the JSON itself.
+* a 1k-case serial stress row (the ``--min-stress-cases-per-s`` floor
+  gate watches it, host-fingerprint-matched like the obs gate).
+
+``--verify-traces`` adds the enact suite's byte-identity gates: the
+unsharded grid vs ``shards=1`` and journal-off vs ``journal="record"``.
 
 The **shard** suite (BENCH_shard.json) measures the sharded
 multi-coordinator grid on a 10k-case ``many_cases`` population:
@@ -304,71 +302,6 @@ STRESS_REFERENCE = {
 }
 
 
-def verify_trace_identity(cases=8, containers=4):
-    """Byte-identity gate: batched vs legacy dispatch, default tracing.
-
-    Runs the default-configuration workload once on the batched kernel and
-    once on the legacy one-event-at-a-time kernel (``batched=False``) and
-    requires the full observable record to match byte-for-byte: every
-    delivered message's time, endpoints, performative, action,
-    conversation / message / trace / parent ids and content, plus the
-    per-case outcomes, completion count and makespan.  Engine event counts
-    are recorded but *excluded* from identity — the batched kernel resumes
-    all waiters of one signal with a single event, so its internal event
-    count is lower by construction while the observable record is
-    unchanged.
-    """
-    from repro.workloads import run_many_cases
-
-    def observable(batched):
-        result = run_many_cases(
-            cases=cases, containers=containers, batched=batched
-        )
-        return {
-            "trace": trace_rows(result["env"]),
-            "outcomes": repr(result["outcomes"]),
-            "completed": result["completed"],
-            "makespan": result["makespan"],
-            "engine_events": result["engine_events"],
-        }
-
-    batched = observable(True)
-    legacy = observable(False)
-    identical = (
-        batched["trace"] == legacy["trace"]
-        and batched["outcomes"] == legacy["outcomes"]
-        and batched["completed"] == legacy["completed"]
-        and batched["makespan"] == legacy["makespan"]
-    )
-    gate = {
-        "cases": cases,
-        "containers": containers,
-        "identical": identical,
-        "messages_compared": len(batched["trace"]),
-        "completed": batched["completed"],
-        "batched_engine_events": batched["engine_events"],
-        "legacy_engine_events": legacy["engine_events"],
-    }
-    if not identical:
-        for index, (one, other) in enumerate(
-            zip(batched["trace"], legacy["trace"])
-        ):
-            if one != other:
-                gate["first_divergence"] = {
-                    "index": index,
-                    "batched": one,
-                    "legacy": other,
-                }
-                break
-        else:
-            gate["first_divergence"] = {
-                "index": min(len(batched["trace"]), len(legacy["trace"])),
-                "batched_len": len(batched["trace"]),
-                "legacy_len": len(legacy["trace"]),
-            }
-    return gate
-
-
 def _workload_fingerprint(result):
     """Everything observable about a workload run, for identity gates."""
     return {
@@ -440,10 +373,6 @@ def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
     configs = {
         # Default path: byte-identical traces, program cache on.
         "default_tracing": {},
-        # Pre-batching kernel (one-event heap dispatch, per-waiter resume
-        # events): the same observable run, kept as the comparison row and
-        # exercised by the trace gate below.
-        "legacy_kernel": {"batched": False},
         # Program cache disabled: recompile per enactment (the old shape).
         "no_program_cache": {"program_cache_size": 0},
         # Throughput path: every knob at once (see FAST_PATH_KNOBS).
@@ -455,25 +384,6 @@ def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
         ), rounds)
         timing["cases_per_s"] = cases / timing["median_s"]
         out[label] = timing
-
-    # Multi-environment parallel driver: deterministic shard merge over a
-    # process pool.  On a single-core host this row honestly records the
-    # dispatch overhead rather than a win (see the module docstring).
-    workers = max(2, min(4, os.cpu_count() or 1))
-    parallel_rounds = max(1, min(rounds, 3))
-    timing = _time(lambda: run_many_cases(
-        cases=cases, containers=containers, parallel=workers,
-        **FAST_PATH_KNOBS,
-    ), parallel_rounds)
-    timing["cases_per_s"] = cases / timing["median_s"]
-    result = run_many_cases(
-        cases=cases, containers=containers, parallel=workers,
-        **FAST_PATH_KNOBS,
-    )
-    timing["pool_error"] = result["pool_error"]
-    timing["shards"] = result["shards"]
-    timing["completed"] = result["completed"]
-    out[f"parallel_x{workers}"] = timing
 
     # 1k-case stress row: same fast path, more contention (makespan grows
     # with the case count, so the rate is lower than the 32-case row —
@@ -502,17 +412,10 @@ def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
     result = run_many_cases(cases=cases, containers=containers)
     out["counters_default"] = result["counters"]
 
-    # The byte-identity gate result is part of the record itself, so the
-    # committed JSON carries the proof alongside the numbers.
-    out["trace_gate"] = verify_trace_identity(
-        cases=min(cases, 8), containers=containers
-    )
-
     out["pre_pr_baseline"] = dict(PRE_PR_BASELINE)
     out["stress_reference"] = dict(STRESS_REFERENCE)
     baseline = PRE_PR_BASELINE["median_s"]
     out["speedup_default_vs_pre_pr"] = baseline / out["default_tracing"]["median_s"]
-    out["speedup_legacy_vs_pre_pr"] = baseline / out["legacy_kernel"]["median_s"]
     out["speedup_optimized_vs_pre_pr"] = (
         baseline / out["optimized_fast_path"]["median_s"]
     )
@@ -1236,10 +1139,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--verify-traces",
         action="store_true",
-        help="after the enact suite, run the default-tracing workload on "
-        "both the batched and the legacy dispatch paths and fail (exit 1) "
-        "unless the delivered-message traces and per-case outcomes are "
-        "byte-identical",
+        help="after the enact suite, run the default-tracing workload "
+        "unsharded and with shards=1, and journal-off and with "
+        'journal="record", and fail (exit 1) unless each pair\'s '
+        "delivered-message traces and per-case outcomes are byte-identical",
     )
     parser.add_argument("--cases", type=int, default=32)
     parser.add_argument("--rounds", type=int, default=5)
@@ -1282,18 +1185,6 @@ def main(argv=None) -> int:
         }
         _write(args.enact_out, record)
         if args.verify_traces:
-            gate = verify_trace_identity(cases=args.cases)
-            if not gate["identical"]:
-                print(
-                    "FAIL: batched and legacy dispatch diverge: "
-                    f"{gate.get('first_divergence')}"
-                )
-                return 1
-            print(
-                "trace gate passed: batched and legacy dispatch "
-                f"byte-identical over {gate['messages_compared']} messages "
-                f"({gate['cases']} cases)"
-            )
             gate = verify_sharded_trace_identity(cases=args.cases)
             if not gate["identical"]:
                 print(

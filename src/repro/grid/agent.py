@@ -186,7 +186,7 @@ class Agent:
         started = self.engine.now
         reply = yield signal
         if timer is not None:
-            timer.cancelled = True
+            self.engine.cancel(timer)
         metrics = self.metrics
         if reply is _TIMEOUT:
             metrics.inc("rpc_timeout", agent=to, action=action)

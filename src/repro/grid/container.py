@@ -133,6 +133,9 @@ class ApplicationContainer(Agent):
         self.require_auth = require_auth
         self.executions: list[tuple[float, str, str, bool]] = []
         self.transfers: list[tuple[float, str, tuple[str, ...]]] = []
+        #: Payloads stored so far; part of every payload storage key, so
+        #: two executions finishing in the same tick never share a key.
+        self._store_seq = 0
 
     def host(self, service: EndUserService) -> None:
         if service.name in self.services:
@@ -154,6 +157,11 @@ class ApplicationContainer(Agent):
 
     def handle_hosted_services(self, message: Message):
         return {"services": list(self.hosted)}
+
+    def _fail(self, activity: str, service_name: str) -> None:
+        """Account one failed execution of *activity*."""
+        self.executions.append((self.engine.now, activity, service_name, False))
+        self.metrics.inc("activities_failed", agent=self.name, action=service_name)
 
     def _run_checkpointed(
         self,
@@ -184,12 +192,7 @@ class ApplicationContainer(Agent):
             if self.failures is not None and self.failures.should_fail_fraction(
                 self.name, 1.0 / chunks, self.engine.now
             ):
-                self.executions.append(
-                    (self.engine.now, activity, service_name, False)
-                )
-                self.metrics.inc(
-                    "activities_failed", agent=self.name, action=service_name
-                )
+                self._fail(activity, service_name)
                 raise ServiceError(
                     f"service {service_name!r} on {self.name} failed at "
                     f"checkpoint {index + 1}/{chunks}"
@@ -394,16 +397,20 @@ class ApplicationContainer(Agent):
                 if self.failures is not None and self.failures.should_fail(
                     self.name, self.engine.now
                 ):
-                    self.executions.append(
-                        (self.engine.now, activity, service_name, False)
-                    )
-                    self.metrics.inc(
-                        "activities_failed", agent=self.name, action=service_name
-                    )
+                    self._fail(activity, service_name)
                     raise ServiceError(
                         f"service {service_name!r} on {self.name} failed"
                     )
-            out_props, out_payloads = service.run(props, payloads)
+            try:
+                out_props, out_payloads = service.run(props, payloads)
+            except Exception as exc:
+                # A compute error fails this activity, not the grid: the
+                # coordinator sees an ordinary service failure.
+                self._fail(activity, service_name)
+                raise ServiceError(
+                    f"service {service_name!r} on {self.name} raised "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
         except ServiceError:
             recorder.end(compute_span, status="error")
             raise
@@ -427,7 +434,11 @@ class ApplicationContainer(Agent):
 
         payload_keys: dict[str, str] = {}
         for data_name, payload in out_payloads.items():
-            key = f"{self.name}/{activity}/{data_name}/{self.engine.now:.6f}"
+            self._store_seq += 1
+            key = (
+                f"{self.name}/{activity}/{data_name}/"
+                f"{self.engine.now:.6f}/{self._store_seq}"
+            )
             store_span = (
                 recorder.start(
                     data_name, "payload", agent=self.name, parent=span,

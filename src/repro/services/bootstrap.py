@@ -148,7 +148,6 @@ def standard_environment(
     tracing: bool = True,
     spans: bool = False,
     journal: bool | str = False,
-    batched: bool = True,
     coalesce: bool = False,
     plan_library: PlanLibrary | None = None,
     knowledge_base: KnowledgeBase | None = None,
@@ -162,13 +161,11 @@ def standard_environment(
     selects the router fast path (no per-delivery TraceEvents) for
     throughput runs; id streams are unaffected.  ``spans=True`` turns on
     the workflow span recorder (see :mod:`repro.obs.spans`).
-    ``batched=False`` opts out of the engine's same-tick batch dispatch
-    (the legacy heap kernel, kept for the trace-identity gate);
     ``coalesce=True`` opts in to direct same-tick signal resumption
     (deterministic, different intra-tick interleaving — throughput runs).
     """
     env = GridEnvironment(
-        tracing=tracing, spans=spans, journal=journal, batched=batched, coalesce=coalesce
+        tracing=tracing, spans=spans, journal=journal, coalesce=coalesce
     )
     credentials = ("coordination", "grid-secret") if secure else None
     services = build_core_services(
@@ -314,7 +311,6 @@ def sharded_environment(
     tracing: bool = True,
     spans: bool = False,
     journal: bool | str = False,
-    batched: bool = True,
     coalesce: bool = False,
     plan_library: PlanLibrary | None = None,
     knowledge_base: KnowledgeBase | None = None,
@@ -350,7 +346,7 @@ def sharded_environment(
     ring = ShardRing(labels)
 
     env = GridEnvironment(
-        tracing=tracing, spans=spans, journal=journal, batched=batched, coalesce=coalesce
+        tracing=tracing, spans=spans, journal=journal, coalesce=coalesce
     )
     credentials = ("coordination", "grid-secret") if secure else None
 

@@ -625,7 +625,8 @@ class CoordinationService(CoreService):
                     )
                     raise ServiceError(
                         f"enactment of {record.task!r} failed at activity "
-                        f"{failure.activity!r} and cannot re-plan"
+                        f"{failure.activity!r} and cannot re-plan: "
+                        f"{failure.reason}"
                     ) from failure
                 failed_activities.append(
                     self._planner_activity_name(current, failure.activity)

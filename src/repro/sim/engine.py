@@ -44,9 +44,12 @@ Throughput internals (the observable semantics above are unchanged):
   schedule/cancel/pop makes :attr:`Engine.pending` and cancellation O(1);
   cancelled entries are lazily discarded when they surface.
 
-``Engine(batched=False)`` selects the legacy one-event-at-a-time heap
-dispatch (and per-waiter signal wakeups) — the comparator the
-equivalence tests and the byte-identical-trace gate run against.
+Every trace depends on three ordering rules: same-time events run in
+schedule order, work posted during a tick runs after the events already
+queued at that tick, and a signal's waiters resume in the order they
+waited.  ``tests/sim/test_engine.py`` tests them directly; the golden
+digests in ``tests/integration/test_golden_digests.py`` pin the grid
+behaviour built on them.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from types import GeneratorType
-from collections.abc import Callable, Generator, Iterable
+from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.errors import SimulationError
@@ -68,26 +71,22 @@ class _Event:
     """One queue entry and (for :meth:`Engine.schedule`) the caller's
     cancellation handle.
 
-    ``cancelled`` is a property so direct assignment
-    (``handle.cancelled = True`` — the historical API) keeps the engine's
-    live-event counter exact; :meth:`Engine.cancel` is the same operation
-    spelled as a method.  Pooled events (``schedule_discard``) are
-    recycled after they run, which is safe exactly because their handle is
-    never handed out.
+    ``cancelled`` is read-only: :meth:`Engine.cancel` is the one way to
+    cancel, which keeps the engine's live-event counter exact.  Pooled
+    events (``schedule_discard``) are recycled after they run, which is
+    safe exactly because their handle is never handed out.
     """
 
-    __slots__ = ("engine", "time", "seq", "action", "args", "_cancelled", "_in_queue", "_pooled")
+    __slots__ = ("time", "seq", "action", "args", "_cancelled", "_in_queue", "_pooled")
 
     def __init__(
         self,
-        engine: "Engine",
         time: float,
         seq: int,
         action: Callable[..., None] | None,
         args: tuple,
         pooled: bool = False,
     ) -> None:
-        self.engine = engine
         self.time = time
         self.seq = seq
         self.action = action
@@ -99,22 +98,6 @@ class _Event:
     @property
     def cancelled(self) -> bool:
         return self._cancelled
-
-    @cancelled.setter
-    def cancelled(self, value: bool) -> None:
-        value = bool(value)
-        if value == self._cancelled:
-            return
-        self._cancelled = value
-        if self._in_queue:
-            # Still queued: keep the engine's live-event counter exact
-            # (uncancelling before the event surfaces revives it).
-            self.engine._live += -1 if value else 1
-
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flag = " cancelled" if self._cancelled else ""
@@ -164,7 +147,7 @@ class Signal:
             # events already queued at this tick (and before the firing
             # action's remaining statements), so intra-tick interleaving —
             # and therefore id streams/traces — can differ from the
-            # event-ordered kernels.  Late waiters (_add_waiter on a fired
+            # default event order.  Late waiters (_add_waiter on a fired
             # signal) still go through the queue, which keeps recursion
             # bounded by the agent-chain depth rather than queue depth.
             for process in waiters:
@@ -172,16 +155,11 @@ class Signal:
             return
         if len(waiters) == 1:
             engine.schedule_discard(0.0, waiters[0]._resume, payload)
-        elif engine.batched:
-            # One wakeup event resuming every waiter in order.  Identical
-            # to per-waiter events: the per-waiter wakeups would carry
-            # consecutive seqs (nothing is scheduled between them) and so
-            # execute back-to-back, and anything a resumed waiter posts
-            # carries a later seq either way.
-            engine.schedule_discard(0.0, _resume_all, waiters, payload)
         else:
-            for process in waiters:
-                engine.schedule_discard(0.0, process._resume, payload)
+            # One wakeup event resuming every waiter in the order they
+            # waited; anything a resumed waiter posts carries a later seq,
+            # so it runs after the whole batch of resumes.
+            engine.schedule_discard(0.0, _resume_all, waiters, payload)
 
     def _add_waiter(self, process: "ProcessHandle") -> None:
         if self.fired:
@@ -270,20 +248,13 @@ _POOL_SIZE = 512
 
 
 class Engine:
-    """The simulation event loop.
+    """The simulation event loop."""
 
-    *batched* selects the same-tick batch dispatcher (the default); pass
-    ``False`` for the legacy one-event-at-a-time heap loop.  Both produce
-    identical event orderings — the flag exists as the opt-out/comparison
-    knob for the equivalence and trace-identity gates.
-    """
-
-    def __init__(self, batched: bool = True, coalesce: bool = False) -> None:
+    def __init__(self, coalesce: bool = False) -> None:
         self.now = 0.0
-        self.batched = batched
         #: Aggressive zero-delay coalescing (see :meth:`Signal.fire`).
         #: Default off: it preserves determinism but not the exact
-        #: intra-tick interleaving the byte-identical-trace gate checks.
+        #: intra-tick interleaving the golden digests pin.
         self.coalesce = coalesce
         #: Heap of (time, seq, event): C-level tuple comparison, seq
         #: uniqueness guarantees the event itself is never compared.
@@ -295,20 +266,19 @@ class Engine:
         self._live = 0
         self.events_processed = 0
         self._free: list[_Event] = [
-            _Event(self, 0.0, 0, None, (), pooled=True) for _ in range(_POOL_SIZE)
+            _Event(0.0, 0, None, (), pooled=True) for _ in range(_POOL_SIZE)
         ]
 
     # -- scheduling -------------------------------------------------------- #
     def schedule(
         self, delay: float, action: Callable[..., None], *args: Any
     ) -> _Event:
-        """Post *action(*args)* at ``now + delay``; returns a cancellable
-        handle (``engine.cancel(handle)``, or the historical
-        ``handle.cancelled = True``).  Handles are never recycled."""
+        """Post *action(*args)* at ``now + delay``; returns a handle for
+        :meth:`cancel`.  Handles are never recycled."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        event = _Event(self, self.now + delay, self._seq, action, args)
+        event = _Event(self.now + delay, self._seq, action, args)
         self._push(event)
         return event
 
@@ -332,11 +302,11 @@ class Engine:
             event.args = args
             event._cancelled = False
         else:
-            event = _Event(self, time, self._seq, action, args, pooled=True)
+            event = _Event(time, self._seq, action, args, pooled=True)
         # _push, inlined (this is the hottest function in enactment runs).
         event._in_queue = True
         self._live += 1
-        if self.batched and time == self.now:
+        if time == self.now:
             self._tick.append(event)
         else:
             heappush(self._heap, (time, self._seq, event))
@@ -344,7 +314,7 @@ class Engine:
     def _push(self, event: _Event) -> None:
         event._in_queue = True
         self._live += 1
-        if self.batched and event.time == self.now:
+        if event.time == self.now:
             # Same-tick post: every earlier event at ``now`` is already in
             # the batch (drained when the tick began), so FIFO == seq order.
             self._tick.append(event)
@@ -353,8 +323,13 @@ class Engine:
 
     def cancel(self, event: _Event) -> None:
         """Cancel a scheduled event (O(1); the queue entry is discarded
-        lazily when it surfaces)."""
-        event.cancelled = True
+        lazily when it surfaces).  Cancelling an event that already ran
+        or was already cancelled is a no-op."""
+        if event._cancelled:
+            return
+        event._cancelled = True
+        if event._in_queue:
+            self._live -= 1
 
     def signal(self, name: str = "signal") -> Signal:
         return Signal(self, name)
@@ -375,11 +350,6 @@ class Engine:
             self.schedule_discard(0.0, process._resume, None)
         return process
 
-    def spawn_all(
-        self, gens: Iterable[tuple[str, ProcessGen]]
-    ) -> list[ProcessHandle]:
-        return [self.spawn(gen, name) for name, gen in gens]
-
     # -- dispatch ---------------------------------------------------------- #
     def _recycle(self, event: _Event) -> None:
         event.action = None
@@ -388,19 +358,12 @@ class Engine:
             self._free.append(event)
 
     def _acquire(self, until: float | None) -> _Event | None:
-        """The next runnable event, with the clock-advance bookkeeping:
-        pops lazily-cancelled entries (uncharged), drains the new tick
-        into the batch, and stops (returning None) at *until*."""
+        """The event that opens the next tick, once the current tick's
+        batch is empty: pops lazily-cancelled entries (uncharged), drains
+        the new tick's other events into the batch, and stops (returning
+        None) at *until*."""
         tick = self._tick
         heap = self._heap
-        while tick:
-            event = tick.popleft()
-            event._in_queue = False
-            if event._cancelled:
-                if event._pooled:
-                    self._recycle(event)
-                continue
-            return event
         while heap:
             entry = heap[0]
             event = entry[2]
@@ -417,28 +380,30 @@ class Engine:
                 raise SimulationError("event queue time went backwards")
             heappop(heap)
             event._in_queue = False
-            if self.batched:
-                # Start of a new tick: move every event at this exact time
-                # into the FIFO batch (they pop in seq order), so the rest
-                # of the tick runs without heap traffic.
-                while heap and heap[0][0] == time:
-                    follower = heappop(heap)[2]
-                    tick.append(follower)
+            # Start of a new tick: move every event at this exact time
+            # into the FIFO batch (they pop in seq order), so the rest of
+            # the tick runs without heap traffic.
+            while heap and heap[0][0] == time:
+                tick.append(heappop(heap)[2])
             return event
         return None
 
-    def step(self) -> bool:
-        """Process one event; returns False when the queue is empty."""
-        event = self._acquire(None)
-        if event is None:
-            return False
-        self._live -= 1
-        self.now = event.time
-        self.events_processed += 1
-        event.action(*event.args)
-        if event._pooled:
-            self._recycle(event)
-        return True
+    def _requeue(self, event: _Event) -> None:
+        """Put back an event that was taken from the queue but not run,
+        leaving the queue as it was before the event was taken."""
+        event._in_queue = True
+        tick = self._tick
+        if event.time == self.now:
+            tick.appendleft(event)
+            return
+        # The event opened a later tick: it and the followers drained with
+        # it go back to the heap, so events scheduled at the current time
+        # before the run resumes still run first.
+        heap = self._heap
+        heappush(heap, (event.time, event.seq, event))
+        while tick:
+            follower = tick.popleft()
+            heappush(heap, (follower.time, follower.seq, follower))
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Drain the event queue.
@@ -475,10 +440,9 @@ class Engine:
                         self.now = until
                     return self.now
             if max_events is not None and processed >= max_events:
-                # Put the event back (front of its tick) so the queue is
-                # intact for a post-mortem or a resumed run.
-                event._in_queue = True
-                self._tick.appendleft(event)
+                # Put the event back so the queue is intact for a
+                # post-mortem or a resumed run.
+                self._requeue(event)
                 raise SimulationError(
                     f"exceeded max_events={max_events} at t={self.now}"
                 )

@@ -119,12 +119,9 @@ def run_many_cases(
     spans: bool = False,
     journal: bool | str = False,
     gauge_period: float = 0.0,
-    batched: bool = True,
     coalesce: bool = False,
     metrics: bool = True,
     async_reports: bool = False,
-    parallel: int = 0,
-    first_case: int = 0,
     shards: int = 0,
     case_indices: Sequence[int] | None = None,
 ) -> dict[str, Any]:
@@ -138,8 +135,6 @@ def run_many_cases(
     wire up the broker's registry-changed push for invalidation), and
     ``program_cache_size`` overrides the coordinator's compiled-program
     cache (0 recompiles per enactment — the pre-compilation baseline).
-    ``batched=False`` opts out of the engine's same-tick batch dispatch
-    (the legacy heap kernel; the trace-identity gate compares both),
     ``coalesce=True`` resumes fired signals' waiters directly instead of
     through zero-delay wakeup events (deterministic, but intra-tick
     interleaving — and thus id streams — differ from the default), and
@@ -151,32 +146,24 @@ def run_many_cases(
     (``repro trace export`` / ``repro profile`` run on this), and
     ``gauge_period > 0`` samples sim-time gauges at that period.
 
-    ``parallel=N`` (N > 1) partitions the case population into N
-    contiguous shards and enacts each shard in its own process with its
-    own environment — the multi-environment driver for very large
-    populations.  Shard results merge deterministically (outcomes in
-    global case order, counters summed, makespan = the slowest shard);
-    ``env``/``services``/``fleet`` are ``None`` in the merged result
-    since live environments do not cross process boundaries.  When a
-    worker pool cannot be spawned the driver degrades to a serial
-    in-process run of the same shards and reports ``pool_error``.
-
-    ``first_case`` offsets the global case index (shard workers use it so
-    every case keeps its population-level initial data and task name).
-
-    ``shards=N`` (N > 1) runs the **sharded grid** instead: cases are
+    ``shards=N`` (N > 1) is the one process-pool driver: cases are
     assigned to N coordination shards by consistent hash of their case id
     (``case-<index>`` on the :class:`~repro.grid.sharding.ShardRing` over
     labels ``s0..s{N-1}`` — a fixed, population-independent mapping), and
     each shard enacts its slice in its own process with its own shard
-    group.  Results merge exactly like ``parallel``'s.  ``shards=1`` runs
-    serially in-process on a single-shard
+    group.  Shard results merge deterministically (outcomes in global
+    case order, counters summed, makespan = the slowest shard);
+    ``env``/``services``/``fleet`` are ``None`` in the merged result
+    since live environments do not cross process boundaries.  When a
+    worker pool cannot be spawned the driver degrades to a serial
+    in-process run of the same shards and reports ``pool_error``.
+    ``shards=1`` runs serially in-process on a single-shard
     :func:`~repro.services.bootstrap.sharded_environment`, whose message
-    stream is byte-identical to the unsharded grid — the trace-identity
-    gate for the sharded bootstrap.  ``shards`` and ``parallel`` are
-    mutually exclusive.  ``case_indices`` (used by shard workers) names
-    the exact global case indices to enact, overriding the contiguous
-    ``first_case`` range.
+    stream is byte-identical to the unsharded grid (the golden digests
+    pin both to one value).  ``case_indices`` (used by shard workers)
+    names the exact global case indices to enact, instead of
+    ``range(cases)``, so every case keeps its population-level initial
+    data and task name.
 
     Returns ``env``, ``services``, ``outcomes`` (per-case replies) and
     summary counts.  Raises :class:`WorkloadError` when any case fails —
@@ -188,8 +175,6 @@ def run_many_cases(
         raise WorkloadError(
             f"many_cases: {cases} cases but {len(case_indices)} case_indices"
         )
-    if shards > 1 and parallel > 1:
-        raise WorkloadError("many_cases: shards and parallel are exclusive")
     if shards > 1:
         return _run_many_cases_sharded(
             cases=cases,
@@ -204,45 +189,21 @@ def run_many_cases(
             spans=spans,
             journal=journal,
             gauge_period=gauge_period,
-            batched=batched,
             coalesce=coalesce,
             metrics=metrics,
             async_reports=async_reports,
-            first_case=first_case,
             shards=shards,
-        )
-    if parallel > 1:
-        return _run_many_cases_parallel(
-            cases=cases,
-            containers=containers,
-            rounds=rounds,
-            tracing=tracing,
-            match_cache_ttl=match_cache_ttl,
-            sched_cache_ttl=sched_cache_ttl,
-            coord_cache_ttl=coord_cache_ttl,
-            program_cache_size=program_cache_size,
-            max_events=max_events,
-            spans=spans,
-            journal=journal,
-            gauge_period=gauge_period,
-            batched=batched,
-            coalesce=coalesce,
-            metrics=metrics,
-            async_reports=async_reports,
-            parallel=parallel,
-            first_case=first_case,
         )
     if shards == 1:
         grid = sharded_environment(
             many_cases_services(), shards=1, containers=containers,
-            tracing=tracing, spans=spans, journal=journal,
-            batched=batched, coalesce=coalesce,
+            tracing=tracing, spans=spans, journal=journal, coalesce=coalesce,
         )
         env, services, fleet = grid.env, grid.services, grid.fleet
     else:
         env, services, fleet = standard_environment(
             many_cases_services(), containers=containers, tracing=tracing,
-            spans=spans, journal=journal, batched=batched, coalesce=coalesce,
+            spans=spans, journal=journal, coalesce=coalesce,
         )
     if not metrics:
         env.metrics.enabled = False
@@ -266,11 +227,7 @@ def run_many_cases(
         )
     process = many_cases_process(rounds)
     outcomes: list[dict[str, Any] | None] = [None] * cases
-    indices = (
-        list(case_indices)
-        if case_indices is not None
-        else [first_case + index for index in range(cases)]
-    )
+    indices = list(case_indices) if case_indices is not None else range(cases)
 
     def enact_case(slot: int, index: int):
         reply = yield from services.coordination.call(
@@ -333,21 +290,7 @@ def run_many_cases(
     }
 
 
-# -- multi-environment parallel driver ------------------------------------- #
-def _shard_bounds(cases: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous (first_case, size) shards covering ``range(cases)``;
-    earlier shards take the remainder so sizes differ by at most one."""
-    shards = max(1, min(shards, cases))
-    base, extra = divmod(cases, shards)
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        bounds.append((start, size))
-        start += size
-    return bounds
-
-
+# -- sharded-grid driver ----------------------------------------------------- #
 def _run_shard(kwargs: dict[str, Any]) -> dict[str, Any]:
     """Worker entry point: one serial shard, summarized picklably.
 
@@ -383,83 +326,7 @@ def _merge_journal_stats(summaries: list[dict[str, Any]]) -> dict[str, Any]:
     return merged
 
 
-def _run_many_cases_parallel(
-    *, cases: int, parallel: int, first_case: int, **workload: Any
-) -> dict[str, Any]:
-    """Partition the population into contiguous shards, enact each in its
-    own process, and merge deterministically (shard order == case order)."""
-    bounds = _shard_bounds(cases, parallel)
-    shard_kwargs = [
-        dict(
-            workload,
-            cases=size,
-            first_case=first_case + start,
-            parallel=0,
-        )
-        for start, size in bounds
-    ]
-    pool_error: str | None = None
-    summaries: list[dict[str, Any]] | None = None
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-            # map() preserves submission order, so the merge below sees
-            # shards exactly in global case order regardless of which
-            # worker finishes first.
-            summaries = list(pool.map(_run_shard, shard_kwargs))
-    except Exception as exc:  # pragma: no cover - depends on host sandboxing
-        pool_error = f"{type(exc).__name__}: {exc}"
-        summaries = None
-    if summaries is None:
-        # Deterministic fallback: the same shards, serially, in-process —
-        # identical merged outcomes, just no wall-clock overlap.
-        summaries = [_run_shard(kwargs) for kwargs in shard_kwargs]
-
-    outcomes: list[dict[str, Any] | None] = []
-    counters: dict[str, int] = {}
-    for summary in summaries:
-        outcomes.extend(summary["outcomes"])
-        for key, value in summary["counters"].items():
-            counters[key] = counters.get(key, 0) + value
-    completed = sum(summary["completed"] for summary in summaries)
-    if completed != cases:
-        raise WorkloadError(
-            f"many_cases: only {completed}/{cases} cases completed"
-        )
-    return {
-        "env": None,
-        "services": None,
-        "fleet": None,
-        "outcomes": outcomes,
-        "cases": cases,
-        "completed": completed,
-        "activities_run": sum(s["activities_run"] for s in summaries),
-        "messages": sum(s["messages"] for s in summaries),
-        "makespan": max(s["makespan"] for s in summaries),
-        "engine_events": sum(s["engine_events"] for s in summaries),
-        "parallel": len(bounds),
-        "shards": [
-            {"first_case": start, "cases": size}
-            for start, size in bounds
-        ],
-        "pool_error": pool_error,
-        "spans": {
-            "enabled": False,
-            "started": 0,
-            "closed": 0,
-            "open": 0,
-            "evicted": 0,
-        },
-        "journal": _merge_journal_stats(summaries),
-        "counters": counters,
-    }
-
-
-# -- sharded-grid driver ----------------------------------------------------- #
-def shard_assignment(
-    cases: int, shards: int, first_case: int = 0
-) -> dict[str, list[int]]:
+def shard_assignment(cases: int, shards: int) -> dict[str, list[int]]:
     """Global case indices per shard label, by consistent hash of the case
     id (``case-<index>``) over the ring of labels ``s0..s{shards-1}``.
 
@@ -469,17 +336,17 @@ def shard_assignment(
     """
     ring = ShardRing([f"s{index}" for index in range(shards)])
     assignment: dict[str, list[int]] = {label: [] for label in ring.shards}
-    for index in range(first_case, first_case + cases):
+    for index in range(cases):
         assignment[ring.owner(f"case-{index}")].append(index)
     return assignment
 
 
 def _run_many_cases_sharded(
-    *, cases: int, shards: int, first_case: int, **workload: Any
+    *, cases: int, shards: int, **workload: Any
 ) -> dict[str, Any]:
     """Enact the population on the sharded grid: one process per shard,
     cases assigned by consistent hash, results merged deterministically."""
-    assignment = shard_assignment(cases, shards, first_case)
+    assignment = shard_assignment(cases, shards)
     populated = [
         (label, indices) for label, indices in assignment.items() if indices
     ]
@@ -488,14 +355,11 @@ def _run_many_cases_sharded(
             workload,
             cases=len(indices),
             case_indices=indices,
-            first_case=0,
             shards=1,
-            parallel=0,
         )
         for _, indices in populated
     ]
     pool_error: str | None = None
-    summaries: list[dict[str, Any]] | None = None
     try:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -503,8 +367,8 @@ def _run_many_cases_sharded(
             summaries = list(pool.map(_run_shard, shard_kwargs))
     except Exception as exc:  # pragma: no cover - depends on host sandboxing
         pool_error = f"{type(exc).__name__}: {exc}"
-        summaries = None
-    if summaries is None:
+        # Deterministic fallback: the same shards, serially, in-process —
+        # identical merged outcomes, just no wall-clock overlap.
         summaries = [_run_shard(kwargs) for kwargs in shard_kwargs]
 
     # Outcomes go back into global case order regardless of which shard
@@ -513,7 +377,7 @@ def _run_many_cases_sharded(
     counters: dict[str, int] = {}
     for (label, indices), summary in zip(populated, summaries):
         for index, outcome in zip(indices, summary["outcomes"]):
-            outcomes[index - first_case] = outcome
+            outcomes[index] = outcome
         for key, value in summary["counters"].items():
             counters[key] = counters.get(key, 0) + value
     completed = sum(summary["completed"] for summary in summaries)

@@ -1,0 +1,108 @@
+"""Golden digests: the grid's observable behaviour pinned to committed values.
+
+Each digest is a 16-byte blake2b over ``repr(trace_rows(env)) +
+repr(outcomes)`` — every delivered message (time, endpoints, performative,
+action, ids, content) followed by the per-case replies.  Engine event
+counts are left out: they are kernel-internal, and a kernel change that
+keeps every message and reply identical is not a behaviour change.
+
+Re-baseline rule: a digest changes only together with an entry in
+CHANGES.md that names the flow and the reason.  On a mismatch the failing
+assertion prints the new digest, so the re-baseline is a one-line edit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from benchmarks.bench_util import trace_rows
+from repro.experiments.figures import _synthetic_services
+from repro.planner import GPConfig
+from repro.services.bootstrap import standard_environment
+from repro.virolab import planning_problem
+from repro.workloads.many_cases import run_many_cases
+
+#: flow -> (digest, delivered messages).  The message count makes a
+#: mismatch easier to read: a changed count means messages were added or
+#: lost, an equal count means content, timing or ordering moved.
+GOLDEN = {
+    "fig2": ("7f61bd9e09b4306c01b01b920fec5022", 2),
+    "fig3": ("5bc159bb12a02e14b7c7c6b559849659", 22),
+    "many_cases_8": ("fa7cb81860260d12aa00f6590ed2a4a3", 2192),
+    "many_cases_8_spans_journal": ("a2592a01111ff1ad1999a6141ae1c42b", 2208),
+    "many_cases_64": ("eb5de2c801102bcc7e7a1377d24d5e19", 29824),
+}
+
+
+def digest(env, outcomes) -> tuple[str, int]:
+    rows = trace_rows(env)
+    text = repr(rows) + repr(outcomes)
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest(), len(rows)
+
+
+def check(flow: str, env, outcomes) -> None:
+    got = digest(env, outcomes)
+    assert got == GOLDEN[flow], (
+        f"golden digest of {flow!r} moved: {GOLDEN[flow]} -> {got}; "
+        "re-baseline only with a CHANGES.md entry naming the reason"
+    )
+
+
+def _planning_flow(action: str, content: dict) -> tuple:
+    """The grid ``fig2_planning_protocol``/``fig3_replanning_protocol``
+    build, driven by one coordination -> planning request."""
+    env, services, _ = standard_environment(
+        _synthetic_services(),
+        containers=2,
+        planner_config=GPConfig(population_size=20, generations=3),
+    )
+    outcome: dict = {}
+
+    def run():
+        reply = yield from services.coordination.call(
+            "planning", action, {"problem": planning_problem(), **content}
+        )
+        outcome.update(reply)
+
+    env.engine.spawn(run(), action)
+    env.run(max_events=200_000)
+    return env, outcome
+
+
+class TestFigureFlows:
+    def test_fig2_planning_protocol(self):
+        env, outcome = _planning_flow("plan", {})
+        check("fig2", env, outcome)
+
+    def test_fig3_replanning_protocol(self):
+        env, outcome = _planning_flow(
+            "replan",
+            {
+                "data": {"D1": {"Classification": "POD-Parameter"}},
+                "failed_activities": ["POR"],
+            },
+        )
+        check("fig3", env, outcome)
+
+
+class TestManyCases:
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"shards": 1}, {"journal": "record"}],
+        ids=["default", "shards1", "journal_record"],
+    )
+    def test_eight_cases(self, config):
+        # shards=1 (the single-shard bootstrap) and journal="record" (the
+        # record-only flight recorder) must not move one byte of the grid.
+        result = run_many_cases(cases=8, containers=4, **config)
+        check("many_cases_8", result["env"], result["outcomes"])
+
+    def test_eight_cases_spans_journal(self):
+        result = run_many_cases(cases=8, containers=4, spans=True, journal=True)
+        check("many_cases_8_spans_journal", result["env"], result["outcomes"])
+
+    def test_sixty_four_cases(self):
+        result = run_many_cases(cases=64, containers=8)
+        check("many_cases_64", result["env"], result["outcomes"])

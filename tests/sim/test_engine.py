@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Engine
+from repro.sim.engine import _POOL_SIZE
 
 
 class TestScheduling:
@@ -35,7 +36,8 @@ class TestScheduling:
         engine = Engine()
         log = []
         handle = engine.schedule(1.0, log.append, "x")
-        handle.cancelled = True
+        engine.cancel(handle)
+        assert handle.cancelled
         engine.schedule(2.0, log.append, "y")
         engine.run()
         assert log == ["y"]
@@ -222,81 +224,87 @@ class TestCancelAndPending:
 
 
 class TestBatchedVsLegacyKernels:
-    """The batched tick-deque kernel must order exactly like the legacy
-    one-event heap kernel for every observable interleaving."""
+    """The kernel's ordering rules, checked against explicit expected
+    orders: same-time events run in schedule order, work posted during a
+    tick runs after the same-tick events already queued, and a signal's
+    waiters resume in the order they waited."""
 
     def test_same_tick_ordering_stable_across_kernels(self):
-        def run(batched):
-            engine = Engine(batched=batched)
-            log = []
+        engine = Engine()
+        log = []
 
-            def worker(tag, delay):
-                yield delay
-                log.append((tag, engine.now))
-                if tag == "a":
-                    # Same-tick work scheduled mid-dispatch lands after
-                    # the already-queued same-tick events.
-                    engine.schedule(0.0, log.append, ("a-extra", engine.now))
+        def worker(tag, delay):
+            yield delay
+            log.append((tag, engine.now))
+            if tag == "a":
+                # Same-tick work scheduled mid-dispatch lands after the
+                # already-queued same-tick events.
+                engine.schedule(0.0, log.append, ("a-extra", engine.now))
 
-            for tag, delay in (
-                ("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 2.0),
-            ):
-                engine.spawn(worker(tag, delay), tag)
-            engine.run()
-            return log
-
-        assert run(True) == run(False)
+        for tag, delay in (("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 2.0)):
+            engine.spawn(worker(tag, delay), tag)
+        engine.run()
+        assert log == [
+            ("a", 1.0), ("b", 1.0), ("c", 1.0), ("a-extra", 1.0), ("d", 2.0),
+        ]
 
     def test_multi_waiter_signal_resumption_order(self):
-        def run(batched):
-            engine = Engine(batched=batched)
-            signal = engine.signal("s")
-            order = []
+        engine = Engine()
+        signal = engine.signal("s")
+        order = []
 
-            def waiter(tag):
-                yield signal
-                order.append((tag, engine.now))
+        def waiter(tag, park_at):
+            yield park_at
+            yield signal
+            order.append((tag, engine.now))
 
-            for tag in "abcde":
-                engine.spawn(waiter(tag), tag)
-            engine.schedule(1.0, signal.fire, None)
-            engine.run()
-            return order
-
-        batched = run(True)
-        assert batched == run(False)
-        assert [tag for tag, _ in batched] == list("abcde")
+        # Spawn order differs from the order the waiters park in.
+        for tag, park_at in (
+            ("c", 0.3), ("a", 0.1), ("e", 0.5), ("b", 0.2), ("d", 0.4),
+        ):
+            engine.spawn(waiter(tag, park_at), tag)
+        engine.schedule(1.0, signal.fire, None)
+        engine.schedule(1.0, order.append, ("queued-after-fire", 1.0))
+        engine.run()
+        # The resumes are posted when the signal fires, so an event queued
+        # at the same tick before the fire still runs first.
+        assert order == [("queued-after-fire", 1.0)] + [
+            (tag, 1.0) for tag in "abcde"
+        ]
 
     def test_spawn_inside_step_determinism(self):
-        def run(batched):
-            engine = Engine(batched=batched)
-            log = []
+        engine = Engine()
+        log = []
 
-            def child(i):
-                log.append(("child", i, engine.now))
-                yield 0.5
-                log.append(("child-done", i, engine.now))
+        def child(i):
+            log.append(("child", i, engine.now))
+            yield 0.5
+            log.append(("child-done", i, engine.now))
 
-            def parent():
-                for i in range(3):
-                    engine.spawn(child(i), f"c{i}")
-                yield 0.0
-                log.append(("parent", engine.now))
+        def parent():
+            for i in range(3):
+                engine.spawn(child(i), f"c{i}")
+            yield 0.0
+            log.append(("parent", engine.now))
 
-            engine.spawn(parent(), "p")
-            engine.run()
-            return log
-
-        assert run(True) == run(False)
+        engine.spawn(parent(), "p")
+        engine.run()
+        # Children spawned before the parent's zero-delay yield start
+        # first; the parent resumes after them at the same tick.
+        assert log == [
+            ("child", 0, 0.0), ("child", 1, 0.0), ("child", 2, 0.0),
+            ("parent", 0.0),
+            ("child-done", 0, 0.5), ("child-done", 1, 0.5), ("child-done", 2, 0.5),
+        ]
 
     def test_randomized_schedules_order_equivalent(self):
         # Property-style: seeded random schedules (same-tick bursts,
-        # cancellations, dispatch-time rescheduling) must execute in the
-        # identical order on both kernels.
+        # cancellations, dispatch-time rescheduling) execute in the order
+        # the ordering rules derive from the ops alone.
         import random
 
-        def run(ops, batched):
-            engine = Engine(batched=batched)
+        def run(ops):
+            engine = Engine()
             log = []
 
             def make(tag):
@@ -316,7 +324,19 @@ class TestBatchedVsLegacyKernels:
             for handle in cancelled:
                 engine.cancel(handle)
             engine.run()
+            assert engine.pending == 0
             return log
+
+        def expected(ops):
+            live = [(delay, tag) for delay, tag, cancel in ops if not cancel]
+            order = []
+            for time in sorted({delay for delay, _ in live}):
+                # Schedule order within the tick, then the work those
+                # events posted during it, in the order it was posted.
+                tick = [tag for delay, tag in live if delay == time]
+                order += [(tag, time) for tag in tick]
+                order += [(tag, "nested", time) for tag in tick if tag % 5 == 0]
+            return order
 
         for seed in range(12):
             rng = random.Random(seed)
@@ -328,7 +348,71 @@ class TestBatchedVsLegacyKernels:
                 )
                 for i in range(40)
             ]
-            assert run(ops, True) == run(ops, False), f"seed {seed}"
+            assert run(ops) == expected(ops), f"seed {seed}"
+
+
+class TestMaxEventsResume:
+    def test_stop_at_tick_boundary_keeps_time_order(self):
+        # Regression: the event that tripped the limit opened a later tick;
+        # it must go back to the heap, not run ahead of events scheduled
+        # at the current time before the run resumes.
+        engine = Engine()
+        log = []
+
+        def record(tag):
+            log.append((tag, engine.now))
+
+        engine.schedule(1.0, record, "a")
+        with pytest.raises(SimulationError):
+            engine.run(max_events=0)
+        assert engine.now == 0.0 and engine.pending == 1
+        engine.schedule(0.5, record, "b")
+        engine.schedule(0.0, record, "c")
+        engine.run()
+        assert log == [("c", 0.0), ("b", 0.5), ("a", 1.0)]
+        assert engine.pending == 0
+
+    def test_stop_inside_tick_resumes_the_tick(self):
+        engine = Engine()
+        log = []
+        for tag in "xyz":
+            engine.schedule(1.0, log.append, tag)
+        with pytest.raises(SimulationError):
+            engine.run(max_events=1)
+        assert log == ["x"] and engine.now == 1.0
+        engine.schedule(0.0, log.append, "w")  # posted later, same tick
+        engine.run()
+        assert log == ["x", "y", "z", "w"]
+
+
+class TestEventPool:
+    def test_schedule_handle_never_recycled(self):
+        engine = Engine()
+        log = []
+        handle = engine.schedule(1.0, log.append, "held")
+        engine.run()
+        # Churn the pool: pooled events run and recycle after the handle.
+        for _ in range(8):
+            engine.schedule_discard(0.0, log.append, "pooled")
+        engine.run()
+        assert handle.action == log.append and handle.args == ("held",)
+        assert all(event is not handle for event in engine._free)
+        engine.schedule(1.0, log.append, "live")
+        engine.cancel(handle)  # already ran: must not touch the live count
+        assert engine.pending == 1
+        engine.run()
+        assert engine.pending == 0
+        assert log == ["held"] + ["pooled"] * 8 + ["live"]
+
+    def test_free_list_capped_after_same_tick_burst(self):
+        engine = Engine()
+        burst = _POOL_SIZE + 100
+        for _ in range(burst):
+            engine.schedule_discard(1.0, lambda: None)
+        assert engine._free == []
+        engine.run()
+        assert engine.events_processed == burst
+        assert len(engine._free) == _POOL_SIZE
 
 
 class TestCoalesce:

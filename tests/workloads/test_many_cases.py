@@ -175,68 +175,6 @@ class TestCoalescedEngineWorkload:
         ]
 
 
-class TestParallelDriver:
-    def test_shard_bounds(self):
-        from repro.workloads.many_cases import _shard_bounds
-
-        assert _shard_bounds(10, 3) == [(0, 4), (4, 3), (7, 3)]
-        assert _shard_bounds(6, 2) == [(0, 3), (3, 3)]
-        # Never more shards than cases; never an empty shard.
-        assert _shard_bounds(3, 8) == [(0, 1), (1, 1), (2, 1)]
-        assert _shard_bounds(5, 1) == [(0, 5)]
-
-    def test_parallel_merge_matches_serial(self):
-        serial = run_many_cases(cases=6, containers=2, tracing=False)
-        merged = run_many_cases(
-            cases=6, containers=2, tracing=False, parallel=2
-        )
-        assert merged["parallel"] == 2
-        assert merged["shards"] == [
-            {"first_case": 0, "cases": 3},
-            {"first_case": 3, "cases": 3},
-        ]
-        assert merged["completed"] == serial["completed"] == 6
-        assert merged["activities_run"] == serial["activities_run"]
-        # Per-case results are contention-independent; event timings are
-        # not (each shard runs with less queueing), so compare outcomes
-        # minus their timelines.
-        for mine, theirs in zip(merged["outcomes"], serial["outcomes"]):
-            assert mine["status"] == theirs["status"] == "completed"
-            assert mine["data"] == theirs["data"]
-            assert mine["activities_run"] == theirs["activities_run"]
-        # Live objects cannot cross process boundaries.
-        assert merged["env"] is None and merged["services"] is None
-
-    def test_first_case_offsets_preserved(self):
-        result = run_many_cases(
-            cases=5, containers=2, tracing=False, parallel=2
-        )
-        assert [shard["first_case"] for shard in result["shards"]] == [0, 3]
-        # Case identity survives sharding: the offset run names its task
-        # stream case-3.. and the merged outcome order is global.
-        offset = run_many_cases(
-            cases=2, containers=2, tracing=False, first_case=3
-        )
-        assert offset["completed"] == 2
-
-    def test_pool_failure_falls_back_to_serial(self, monkeypatch):
-        class Boom:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no pool for you")
-
-        # The driver imports the pool class at call time, so patching the
-        # stdlib module intercepts it.
-        monkeypatch.setattr(
-            "concurrent.futures.ProcessPoolExecutor", Boom
-        )
-        result = run_many_cases(
-            cases=4, containers=2, tracing=False, parallel=2
-        )
-        assert result["completed"] == 4
-        assert result["pool_error"] is not None
-        assert "no pool for you" in result["pool_error"]
-
-
 class TestShardedDriver:
     def test_shard_assignment_is_deterministic_and_total(self):
         from repro.workloads import shard_assignment
@@ -280,10 +218,6 @@ class TestShardedDriver:
             assert mine["data"] == theirs["data"]
             assert mine["activities_run"] == theirs["activities_run"]
         assert merged["env"] is None and merged["services"] is None
-
-    def test_shards_and_parallel_are_exclusive(self):
-        with pytest.raises(WorkloadError):
-            run_many_cases(cases=4, shards=2, parallel=2)
 
     def test_case_indices_must_match_cases(self):
         with pytest.raises(WorkloadError):
