@@ -1,5 +1,8 @@
 """Monitoring, matchmaking and scheduling services."""
 
+import heapq
+import random
+
 import pytest
 
 from repro.errors import ServiceError
@@ -146,3 +149,41 @@ class TestScheduling:
                     {"service": "POD", "candidates": ["ac1", "ac2", "ac3"]},
                 ),
             )
+
+
+class TestPendingLoadHeap:
+    def test_heap_matches_naive_filter(self, grid):
+        # The per-container heap must count exactly the entries the old
+        # list filter kept (expiry > now), ties at expiry == now included.
+        env, services, fleet = grid
+        scheduler = services.scheduling
+        rng = random.Random(13)
+        naive: dict[str, list[float]] = {}
+        containers = ["ac1", "ac2", "ac3"]
+        now = 0.0
+        ties = 0
+        for step in range(2000):
+            container = rng.choice(containers)
+            if rng.random() < 0.5:
+                # Integer-valued times make expiry == now frequent.
+                expiry = now + rng.randint(0, 6)
+                heapq.heappush(scheduler._pending.setdefault(container, []), expiry)
+                naive.setdefault(container, []).append(expiry)
+            else:
+                now += rng.choice([0.0, 0.0, 1.0, 2.0])
+                env.engine.now = now
+                ties += now in naive.get(container, ())
+                expected = sum(1 for e in naive.get(container, ()) if e > now)
+                assert scheduler._pending_load(container) == expected, step
+        assert ties > 0
+
+    def test_expiry_equal_to_now_is_expired(self, grid):
+        env, services, fleet = grid
+        scheduler = services.scheduling
+        for expiry in (5.0, 5.0, 6.0, 4.0):
+            heapq.heappush(scheduler._pending.setdefault("ac1", []), expiry)
+        env.engine.now = 5.0
+        assert scheduler._pending_load("ac1") == 1
+        env.engine.now = 6.0
+        assert scheduler._pending_load("ac1") == 0
+        assert scheduler._pending_load("ac2") == 0
