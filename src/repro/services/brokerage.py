@@ -235,8 +235,29 @@ class BrokerageService(CoreService):
         super().on_unhandled(message)
 
     def handle_performance(self, message: Message):
+        """Past performance of *service* on a container.
+
+        Content ``{"service", "container"}`` replies ``runs``,
+        ``success_rate`` and ``mean_duration`` (an unrecorded pair reads
+        as no runs at a 1.0 success rate); ``{"service", "containers":
+        [names]}`` replies ``{"performances": [...]}`` in request order,
+        each entry equal to the single-container reply.  The batched form
+        keeps ``service`` so a sharded grid routes it to the partition
+        that owns that service.
+        """
         content = message.content
-        perf = self.performance_of(content["service"], content["container"])
+        service = content["service"]
+        if "containers" in content:
+            return {
+                "performances": [
+                    self._performance_reply(service, container)
+                    for container in content["containers"]
+                ]
+            }
+        return self._performance_reply(service, content["container"])
+
+    def _performance_reply(self, service: str, container: str) -> dict:
+        perf = self.performance_of(service, container)
         if perf is None:
             return {"runs": 0, "success_rate": 1.0, "mean_duration": 0.0}
         return {

@@ -50,8 +50,20 @@ class MonitoringService(CoreService):
     service_type = "monitoring"
 
     def handle_status(self, message: Message):
-        """Live status of an agent (and its node, for containers)."""
-        name = message.content["agent"]
+        """Live status of an agent (and its node, for containers).
+
+        Content ``{"agent": name}`` replies with that agent's status;
+        ``{"agents": [names]}`` replies ``{"statuses": [...]}`` in request
+        order, each entry equal to the single-agent reply for that name.
+        Matchmaking and scheduling use the batched form: one request reads
+        every candidate's status at the same instant.
+        """
+        content = message.content
+        if "agents" in content:
+            return {"statuses": [self._status(name) for name in content["agents"]]}
+        return self._status(content["agent"])
+
+    def _status(self, name: str) -> dict:
         if not self.env.has_agent(name):
             return {"known": False, "alive": False}
         agent = self.env.agent(name)

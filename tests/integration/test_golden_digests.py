@@ -30,9 +30,9 @@ from repro.workloads.many_cases import run_many_cases
 GOLDEN = {
     "fig2": ("7f61bd9e09b4306c01b01b920fec5022", 2),
     "fig3": ("5bc159bb12a02e14b7c7c6b559849659", 22),
-    "many_cases_8": ("fa7cb81860260d12aa00f6590ed2a4a3", 2192),
-    "many_cases_8_spans_journal": ("a2592a01111ff1ad1999a6141ae1c42b", 2208),
-    "many_cases_64": ("eb5de2c801102bcc7e7a1377d24d5e19", 29824),
+    "many_cases_8": ("f143141c95dcf5fe80095841d4d65f1e", 1040),
+    "many_cases_8_spans_journal": ("46c6d38a30b19e375c34e9cafb15dcf5", 1056),
+    "many_cases_64": ("6b1b376f5008c3a9391f70502b8835f8", 8320),
 }
 
 
