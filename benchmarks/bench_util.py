@@ -26,21 +26,27 @@ __all__ = [
 ]
 
 
-def time_fn(fn, rounds):
+def time_fn(fn, rounds, setup=None):
     """Median-of-*rounds* wall time of ``fn()`` with the gc frozen.
 
     Collect before and freeze the collector during each sample: cyclic-gc
     pauses landing inside a sample were the dominant variance source on
     single-core hosts (spreads of 2x for identical configs).
+
+    With *setup*, each sample times ``fn(setup())`` and ``setup()`` runs
+    untimed before it — e.g. a fresh planning problem per round, so no
+    round inherits another's memo tables.  ``min_s``/``max_s`` give the
+    spread.
     """
     samples = []
     gc_was_enabled = gc.isenabled()
     try:
         for _ in range(rounds):
+            args = () if setup is None else (setup(),)
             gc.collect()
             gc.disable()
             t0 = time.perf_counter()
-            fn()
+            fn(*args)
             samples.append(time.perf_counter() - t0)
             gc.enable()
     finally:
@@ -51,6 +57,7 @@ def time_fn(fn, rounds):
     return {
         "median_s": statistics.median(samples),
         "min_s": min(samples),
+        "max_s": max(samples),
         "rounds": rounds,
     }
 

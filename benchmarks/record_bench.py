@@ -9,8 +9,10 @@ The **planner** suite (BENCH_planner.json) measures, on the Section-5
 case-study problem:
 
 * ``evaluate_many`` on a population-60 batch — serial backend vs. the
-  process-pool backend (pool warmed outside timing, worker-side caching
-  off so every round simulates);
+  process-pool backend (pool started outside timing, worker-side caching
+  off so every round simulates); every timed round (here and in the GP
+  rows) runs on a fresh ``planning_problem()``, so no round inherits
+  another's transition memo;
 * the same batch with only 12 unique structures (in-batch dedup);
 * a seeded GP run with the shared fitness cache vs. the identical run
   with caching disabled (unique-simulation counts);
@@ -125,7 +127,7 @@ from bench_util import (
     trace_rows,
     write_record as _write,
 )
-from repro.plan import random_tree
+from repro.plan import random_tree, terminal
 from repro.planner import EvaluationEngine, GPConfig, GPPlanner, PlanEvaluator
 from repro.virolab import planning_problem
 
@@ -139,47 +141,61 @@ def _population(problem, count, seed=0):
     ]
 
 
-def bench_evaluate_many(problem, rounds, workers):
-    trees = _population(problem, 60)
+def bench_evaluate_many(rounds, workers):
+    """Population-60 batches.  Every timed round gets a fresh engine over a
+    fresh ``planning_problem()``: an empty fitness cache and a cold
+    transition memo, as at the start of a GP run."""
+    trees = _population(planning_problem(), 60)
     out = {}
 
-    serial = EvaluationEngine(problem)
+    def evaluate(engine):
+        engine.evaluate_many(trees)
 
-    def serial_run():
-        serial.evaluator.clear_cache()
-        serial.evaluate_many(trees)
+    out["serial_60"] = _time(
+        evaluate, rounds, setup=lambda: EvaluationEngine(planning_problem())
+    )
 
-    out["serial_60"] = _time(serial_run, rounds)
+    engines = []
 
-    with EvaluationEngine(
-        problem, workers=workers, worker_cache_size=0
-    ) as engine:
-        engine.evaluate_many(trees[:2])  # warm the pool outside timing
+    def pooled_engine():
+        if engines:
+            engines[-1].close()  # the previous round's pool
+        engine = EvaluationEngine(
+            planning_problem(), workers=workers, worker_cache_size=0
+        )
+        engines.append(engine)
+        # Start the workers outside timing on names outside T, which
+        # leave the workers' transition memos cold.
+        engine.evaluate_many([terminal("warm-up-a"), terminal("warm-up-b")])
+        return engine
 
-        def parallel_run():
-            engine.evaluator.clear_cache()
-            engine.evaluate_many(trees)
+    try:
+        out[f"parallel_60_workers{workers}"] = _time(
+            evaluate, rounds, setup=pooled_engine
+        )
+    finally:
+        if engines:
+            engines[-1].close()
+    out["pool_error"] = next((e.pool_error for e in engines if e.pool_error), None)
 
-        out[f"parallel_60_workers{workers}"] = _time(parallel_run, rounds)
-        out["pool_error"] = engine.pool_error
-
-    unique = _population(problem, 12)
+    unique = _population(planning_problem(), 12)
     dup_trees = [unique[i % 12] for i in range(60)]
-    dedup = EvaluationEngine(problem)
-
-    def dedup_run():
-        dedup.evaluator.clear_cache()
-        dedup.evaluate_many(dup_trees)
-
-    out["dedup_60_of_12_unique"] = _time(dedup_run, rounds)
+    out["dedup_60_of_12_unique"] = _time(
+        lambda engine: engine.evaluate_many(dup_trees),
+        rounds,
+        setup=lambda: EvaluationEngine(planning_problem()),
+    )
     return out
 
 
-def bench_cache_effect(problem):
+def bench_cache_effect():
+    """One seeded GP run with the shared fitness cache and one without,
+    each on its own fresh problem."""
     cfg = GPConfig(population_size=60, generations=10)
-    cached = GPPlanner(cfg, rng=0).plan(problem)
+    cached = GPPlanner(cfg, rng=0).plan(planning_problem())
+    uncached_problem = planning_problem()
     uncached = GPPlanner(cfg, rng=0).plan(
-        problem, evaluator=PlanEvaluator(problem, cache_size=0)
+        uncached_problem, evaluator=PlanEvaluator(uncached_problem, cache_size=0)
     )
     assert cached.best_fitness == uncached.best_fitness
     return {
@@ -192,13 +208,13 @@ def bench_cache_effect(problem):
     }
 
 
-def bench_gp_run(problem, rounds):
+def bench_gp_run(rounds):
     cfg = GPConfig(population_size=60, generations=10)
-
-    def run():
-        GPPlanner(cfg, rng=1).plan(problem)
-
-    return _time(run, rounds)
+    return _time(
+        lambda problem: GPPlanner(cfg, rng=1).plan(problem),
+        rounds,
+        setup=planning_problem,
+    )
 
 
 def _bus_env(trace_capacity=None):
@@ -606,12 +622,15 @@ def bench_analysis(rounds, iterations=200):
 
     # GP pre-filter: exact mode must leave the run byte-identical while
     # measurably reducing simulator work.
-    problem = planning_problem()
     runs = {}
     for mode in ("off", "exact"):
         cfg = GPConfig(population_size=60, generations=8, static_filter=mode)
-        timing = _time(lambda cfg=cfg: GPPlanner(cfg, rng=7).plan(problem), rounds)
-        result = GPPlanner(cfg, rng=7).plan(problem)
+        timing = _time(
+            lambda problem, cfg=cfg: GPPlanner(cfg, rng=7).plan(problem),
+            rounds,
+            setup=planning_problem,
+        )
+        result = GPPlanner(cfg, rng=7).plan(planning_problem())
         runs[mode] = result
         timing["evaluations"] = result.evaluations
         timing["analysis_rejected"] = result.analysis_rejected
@@ -1155,16 +1174,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.suite in ("all", "planner"):
-        problem = planning_problem()
         record = {
             "benchmark": "GP planner evaluation engine",
-            "problem": problem.name,
+            "problem": planning_problem().name,
             "host": _host(),
-            "evaluate_many": bench_evaluate_many(
-                problem, args.rounds, args.workers
-            ),
-            "cache_effect_pop60_gen10": bench_cache_effect(problem),
-            "gp_run_pop60_gen10": bench_gp_run(problem, max(2, args.rounds // 2)),
+            "evaluate_many": bench_evaluate_many(args.rounds, args.workers),
+            "cache_effect_pop60_gen10": bench_cache_effect(),
+            "gp_run_pop60_gen10": bench_gp_run(max(2, args.rounds // 2)),
         }
         _write(args.out, record)
 

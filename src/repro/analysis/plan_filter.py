@@ -12,8 +12,8 @@ sound: the real simulator would mark every single execution invalid.
 For a doomed tree, full simulation is pure waste *and* its outcome is
 exactly predictable: both of the simulator's skip branches (activity
 unknown to T, or known but inapplicable) append the identical partial
-tuple, so simulating against a stub problem whose execution table is
-empty yields bit-for-bit the same flows, weights and truncation flag as
+tuple, so simulating against a stub problem whose every step is invalid
+yields bit-for-bit the same flows, weights and truncation flag as
 the real problem would — just without evaluating a single precondition
 or deriving a single state.  :meth:`PlanStaticFilter.fitness_for` in
 ``"exact"`` mode exploits this: it scores doomed trees through the stub
@@ -54,23 +54,21 @@ from repro.planner.state import WorldState
 
 __all__ = ["PlanStaticFilter", "terminal_names"]
 
-_EMPTY_TABLE: dict = {}
-
-
 class _InertProblem:
     """Duck-typed stand-in for :class:`PlanningProblem` during stub
-    simulation of doomed trees: the real initial state, an empty
-    execution table (every terminal takes the activity-unknown branch,
-    which appends the same partial tuple the real inapplicable branch
-    would)."""
+    simulation of doomed trees: the real initial state, and a
+    :meth:`PlanningProblem.step` that marks every execution invalid and
+    leaves the state unchanged (what the real step returns for an
+    inapplicable activity)."""
 
     __slots__ = ("initial_state",)
 
     def __init__(self, initial_state: WorldState) -> None:
         self.initial_state = initial_state
 
-    def execution_table(self) -> dict:
-        return _EMPTY_TABLE
+    @staticmethod
+    def step(state: WorldState, activity: str) -> tuple[bool, WorldState]:
+        return False, state
 
 
 def terminal_names(tree: PlanNode) -> frozenset[str]:

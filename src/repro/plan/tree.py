@@ -39,6 +39,7 @@ __all__ = [
     "iterative",
     "terminal",
     "iter_nodes",
+    "preorder_path",
     "subtree_at",
     "replace_at",
     "tree_size",
@@ -138,10 +139,15 @@ class Controller(PlanNode):
         for child in self.children:
             if not isinstance(child, PlanNode):
                 raise PlanError(f"bad child {child!r}")
+        # Nodes are immutable, so the size is fixed at construction; the
+        # GP operators read it for every node they pick.
+        object.__setattr__(
+            self, "_size", 1 + sum(child.size for child in self.children)
+        )
 
     @property
     def size(self) -> int:
-        return 1 + sum(child.size for child in self.children)
+        return self._size  # type: ignore[attr-defined]
 
     def walk(self) -> Iterator[PlanNode]:
         yield self
@@ -195,6 +201,26 @@ def iter_nodes(root: PlanNode) -> Iterator[tuple[Path, PlanNode]]:
         if isinstance(node, Controller):
             for idx in range(len(node.children) - 1, -1, -1):
                 stack.append((path + (idx,), node.children[idx]))
+
+
+def preorder_path(root: PlanNode, index: int) -> Path:
+    """The path of the *index*-th node in pre-order (``0`` is the root) —
+    the path :func:`iter_nodes` yields at that position — found by
+    descending through the subtree sizes instead of listing every node."""
+    if not 0 <= index < root.size:
+        raise PlanError(f"pre-order index {index} outside a {root.size}-node tree")
+    path: list[int] = []
+    node = root
+    while index:
+        index -= 1  # step past *node* itself into its children
+        assert isinstance(node, Controller)
+        for idx, child in enumerate(node.children):
+            if index < child.size:
+                path.append(idx)
+                node = child
+                break
+            index -= child.size
+    return tuple(path)
 
 
 def subtree_at(root: PlanNode, path: Path) -> PlanNode:

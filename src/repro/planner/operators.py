@@ -20,15 +20,14 @@ import numpy as np
 
 from repro._util import as_rng
 from repro.plan.randgen import random_tree
-from repro.plan.tree import PlanNode, iter_nodes, replace_at, subtree_at
+from repro.plan.tree import PlanNode, preorder_path, replace_at, subtree_at
 
 __all__ = ["crossover", "mutate", "random_node_path"]
 
 
 def random_node_path(tree: PlanNode, rng: np.random.Generator) -> tuple[int, ...]:
     """A uniformly random node path in *tree* (pre-order indexed)."""
-    paths = [path for path, _ in iter_nodes(tree)]
-    return paths[int(rng.integers(len(paths)))]
+    return preorder_path(tree, int(rng.integers(tree.size)))
 
 
 def crossover(
@@ -70,8 +69,12 @@ def mutate(
     tree past Smax fails silently, keeping the paper's semantics.
     """
     generator = as_rng(rng)
+    # One draw per node in pre-order; ``random(n)`` yields the same stream
+    # as n scalar draws.
+    trials = generator.random(tree.size)
     selected = [
-        path for path, _ in iter_nodes(tree) if generator.random() < mutation_rate
+        preorder_path(tree, int(index))
+        for index in np.flatnonzero(trials < mutation_rate)
     ]
     if not selected:
         return tree

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from typing import Any
 
 from repro.errors import PlanningError
@@ -123,12 +123,13 @@ class PlanningProblem:
         self._compile()
 
     def _compile(self) -> None:
-        """Pre-compile goals and the per-activity execution table.
+        """Pre-compile goals and the per-activity execution table, and
+        start empty memo tables (goal scores, interned states, transitions).
 
         The simulator executes terminals hundreds of thousands of times
         per GP run; indexing ``name -> (compiled precondition, effects)``
         once here keeps condition-AST traversal, ``spec()`` lookups and
-        bound-method creation out of that inner loop.
+        bound-method creation out of :meth:`step`'s memo misses.
         """
         object.__setattr__(
             self, "_compiled_goals", tuple(compile_condition(g) for g in self.goals)
@@ -142,10 +143,14 @@ class PlanningProblem:
             },
         )
         object.__setattr__(self, "_goal_cache", {})
+        object.__setattr__(self, "_interned", {})
+        object.__setattr__(self, "_rows", {})
 
     def __getstate__(self) -> dict[str, Any]:
         state = dict(self.__dict__)
-        for key in ("_compiled_goals", "_exec_table", "_goal_cache"):
+        for key in (
+            "_compiled_goals", "_exec_table", "_goal_cache", "_interned", "_rows"
+        ):
             state.pop(key, None)
         return state
 
@@ -153,11 +158,66 @@ class PlanningProblem:
         self.__dict__.update(state)
         self._compile()
 
-    def execution_table(
-        self,
-    ) -> Mapping[str, tuple[Callable[[WorldState], bool], Mapping[str, Any]]]:
-        """``name -> (applicable, effects)`` for every activity in T."""
-        return self._exec_table  # type: ignore[attr-defined]
+    #: Bound on the states one problem interns for its transition memo
+    #: (the Table-1 GP run on the case-study problem reaches 16); states
+    #: past the cap are executed without the memo.
+    _STATE_TABLE_MAX = 4096
+
+    def step(self, state: WorldState, activity: str) -> tuple[bool, WorldState]:
+        """Execute *activity* in *state*: ``(valid, successor state)``.
+
+        A valid execution applies the activity's effects; an invalid one,
+        or a name outside T, leaves the state unchanged.  The result is a
+        pure function of the state's data, so it is memoized per problem:
+        states are interned by :meth:`WorldState.merge_key` (``_interned``)
+        and each interned state has a row ``activity -> (valid,
+        successor)`` in ``_rows``, keyed by the interned object's id (the
+        interned object is kept alive by ``_interned``, so its id cannot be
+        reused while the row exists).  Successors are interned too, so a
+        simulation that starts from an interned state stays on the
+        id-keyed fast path.
+        """
+        rows: dict = self._rows  # type: ignore[attr-defined]
+        row = rows.get(id(state))
+        if row is None:
+            canonical = self._intern(state)
+            row = rows.get(id(canonical))
+            if row is None:  # unhashable state, or the table is full
+                return self._execute(state, activity)
+            state = canonical
+        hit = row.get(activity)
+        if hit is None:
+            valid, successor = self._execute(state, activity)
+            hit = (valid, self._intern(successor) if valid else state)
+            if activity in self._exec_table:  # type: ignore[attr-defined]
+                row[activity] = hit  # names outside T stay out: rows are <= |T|
+        return hit
+
+    def _execute(self, state: WorldState, activity: str) -> tuple[bool, WorldState]:
+        """Un-memoized terminal execution (the memo's source of truth)."""
+        entry = self._exec_table.get(activity)  # type: ignore[attr-defined]
+        if entry is None:
+            return False, state
+        applicable, effects = entry
+        if applicable(state):
+            return True, state.updated(effects)
+        return False, state
+
+    def _intern(self, state: WorldState) -> WorldState:
+        """The canonical state equal to *state* under ``merge_key``;
+        *state* itself becomes canonical when it is new and there is room."""
+        key = state.merge_key()
+        if key is None:
+            return state
+        table: dict = self._interned  # type: ignore[attr-defined]
+        interned = table.get(key)
+        if interned is not None:
+            return interned
+        if len(table) >= self._STATE_TABLE_MAX:
+            return state
+        table[key] = state
+        self._rows[id(state)] = {}  # type: ignore[attr-defined]
+        return state
 
     @property
     def activity_names(self) -> tuple[str, ...]:

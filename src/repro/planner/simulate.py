@@ -13,7 +13,8 @@ Semantics implemented here (documented choices where the paper is silent):
 * **terminal** — check precondition against the current state; valid
   executions apply effects, invalid ones leave the state unchanged; both
   count as *executed* (Eq. 1's denominator).  Names outside T are executed
-  and never valid.
+  and never valid.  Each execution is a lookup in the problem's
+  transition memo (:meth:`PlanningProblem.step`).
 * **sequential** — children left to right.
 * **concurrent** — children are simulated left to right; the paper allows
   "any order", and effects in our state algebra are monotone merges, so
@@ -256,30 +257,19 @@ def _simulate(
 
     if isinstance(node, Terminal):
         budget[0] -= len(partials)
-        entry = problem.execution_table().get(node.activity)
-        record = None
-        if stats is not None:
-            record = stats.setdefault(path, [0.0, 0.0])
+        step = problem.step
+        activity = node.activity
+        record = None if stats is None else stats.setdefault(path, [0.0, 0.0])
         out: list[_Partial] = []
-        if entry is None:
-            for state, executed, valid, weight in partials:
-                out.append((state, executed + weight, valid, weight))
-                if record is not None:
-                    record[0] += weight
-            return out, truncated
-        applicable, effects = entry
         for state, executed, valid, weight in partials:
-            if applicable(state):
-                out.append(
-                    (state.updated(effects), executed + weight, valid + weight, weight)
-                )
-                if record is not None:
-                    record[0] += weight
+            ok, successor = step(state, activity)
+            if ok:
+                valid += weight
+            out.append((successor, executed + weight, valid, weight))
+            if record is not None:
+                record[0] += weight
+                if ok:
                     record[1] += weight
-            else:
-                out.append((state, executed + weight, valid, weight))
-                if record is not None:
-                    record[0] += weight
         return out, truncated
 
     assert isinstance(node, Controller)

@@ -22,7 +22,8 @@ from repro.process.conditions import Condition
 __all__ = ["WorldState"]
 
 #: Cached-merge-key sentinel for states whose property values are
-#: unhashable (lists, dicts); such states cannot key a merge/memo table.
+#: unhashable (lists, dicts); such states cannot key a merge/memo table,
+#: so the simulator neither merges nor interns them.
 _UNHASHABLE = object()
 
 
@@ -66,9 +67,9 @@ class WorldState:
 
         Valid for the state's whole lifetime because states are
         immutable-by-convention (all mutation derives new states).  Used
-        by the simulator's flow merging and by goal-score memoization —
-        both previously rebuilt this tuple from the full data dict at
-        every join point of every flow.
+        by the simulator's flow merging, by goal-score memoization and by
+        :meth:`PlanningProblem.step`, which interns states on this key:
+        two states with equal keys are one state to the planner.
         """
         key = self._mkey
         if key is None:

@@ -655,6 +655,22 @@ class CoordinationService(CoreService):
                     },
                     round=record.replans,
                 )
+                if not reply["solved"]:
+                    # Enacting a plan that cannot reach the goal only fails
+                    # later, on inputs no activity produced.
+                    excluded = reply["excluded_activities"]
+                    record.failed = True
+                    record.log(
+                        self.engine.now, "replan-unsolved", f"excluding {excluded}"
+                    )
+                    self.metrics.inc(
+                        "enactments_failed", agent=self.name, action=record.task
+                    )
+                    raise ServiceError(
+                        f"enactment of {record.task!r} failed at activity "
+                        f"{failure.activity!r} and the replan excluding "
+                        f"{excluded} does not reach the goal"
+                    ) from failure
                 current = reply["process"]
 
         record.log(self.engine.now, "completed", record.task)

@@ -4,7 +4,9 @@ Each digest is a 16-byte blake2b over ``repr(trace_rows(env)) +
 repr(outcomes)`` — every delivered message (time, endpoints, performative,
 action, ids, content) followed by the per-case replies.  Engine event
 counts are left out: they are kernel-internal, and a kernel change that
-keeps every message and reply identical is not a behaviour change.
+keeps every message and reply identical is not a behaviour change.  The
+``gp_virolab`` digest covers one GP run instead: best plan, fitness,
+evaluation and cache counts, and each generation's best fitness.
 
 Re-baseline rule: a digest changes only together with an entry in
 CHANGES.md that names the flow and the reason.  On a mismatch the failing
@@ -19,7 +21,7 @@ import pytest
 
 from benchmarks.bench_util import trace_rows
 from repro.experiments.figures import _synthetic_services
-from repro.planner import GPConfig
+from repro.planner import GPConfig, GPPlanner
 from repro.services.bootstrap import standard_environment
 from repro.virolab import planning_problem
 from repro.workloads.many_cases import run_many_cases
@@ -34,6 +36,11 @@ GOLDEN = {
     "many_cases_8_spans_journal": ("46c6d38a30b19e375c34e9cafb15dcf5", 1056),
     "many_cases_64": ("6b1b376f5008c3a9391f70502b8835f8", 8320),
 }
+
+#: The Table-1 GP run on the case-study problem -> (digest, evaluations).
+#: It pins the planner itself: plan simulation, fitness, the genetic
+#: operators' RNG use and the fitness cache.
+GOLDEN_GP = ("9270c3982119404c28c65b6645f880dc", 2570)
 
 
 def digest(env, outcomes) -> tuple[str, int]:
@@ -106,3 +113,24 @@ class TestManyCases:
     def test_sixty_four_cases(self):
         result = run_many_cases(cases=64, containers=8)
         check("many_cases_64", result["env"], result["outcomes"])
+
+
+class TestPlanner:
+    def test_gp_virolab(self):
+        result = GPPlanner(rng=0).plan(planning_problem())
+        payload = (
+            result.best_plan.struct_key(),
+            result.best_fitness,
+            result.evaluations,
+            result.cache_hits,
+            result.cache_misses,
+            tuple(stats.best_fitness for stats in result.history),
+        )
+        got = (
+            hashlib.blake2b(repr(payload).encode(), digest_size=16).hexdigest(),
+            result.evaluations,
+        )
+        assert got == GOLDEN_GP, (
+            f"golden digest of 'gp_virolab' moved: {GOLDEN_GP} -> {got}; "
+            "re-baseline only with a CHANGES.md entry naming the reason"
+        )

@@ -107,3 +107,39 @@ def test_replan_trace_follows_figure3():
         assert replan_requests and probes and lookups
         return
     pytest.skip("no seed produced a completed run with replans")
+
+
+def test_unsolved_replan_fails_the_case_instead_of_enacting():
+    """No container offers P3DR, so the replan must exclude every P3DR
+    activity, and the goal (D12) cannot be reached without them.  The case
+    gets a FAILURE reply naming the excluded activities; it is not lost."""
+    without_p3dr = [s for s in synthetic_services() if s.name != "P3DR"]
+    env, services, fleet = standard_environment(
+        without_p3dr,
+        containers=3,
+        planner_config=GPConfig(population_size=30, generations=5),
+    )
+    request = {
+        "process": process_description(),
+        "initial_data": dict(INITIAL),
+        "problem": planning_problem(),
+        "task": "case",
+    }
+    with pytest.raises(ServiceError) as failure:
+        drive(
+            env,
+            services.coordination,
+            lambda: services.coordination.call(
+                "coordination", "execute-task", request
+            ),
+            max_events=5_000_000,
+        )
+    message = str(failure.value)
+    assert "does not reach the goal" in message
+    for name in ("P3DR1", "P3DR2", "P3DR3", "P3DR4"):
+        assert name in message
+    (record,) = services.coordination.records
+    assert record.failed and not record.completed
+    assert record.replans == 1
+    assert env.metrics.total("enactments_failed") == 1
+    assert env.metrics.total("replans") == 1

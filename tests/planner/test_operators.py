@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import PlanError
 from repro.plan import random_tree, selective, sequential, tree_size
+from repro.plan.tree import iter_nodes, preorder_path, replace_at, subtree_at
 from repro.planner import crossover, mutate, random_node_path
 
 ACTS = ["A", "B", "C"]
@@ -114,3 +116,99 @@ def test_crossover_never_exceeds_smax(seed, smax):
     b = random_tree(ACTS, max_size=smax, rng=rng)
     ca, cb = crossover(a, b, rng, smax=smax, crossover_rate=1.0)
     assert ca.size <= smax and cb.size <= smax
+
+
+# -- pre-order node lookup from stored subtree sizes ------------------------- #
+def _reference_random_node_path(tree, rng):
+    """Uniform node pick by listing every pre-order path."""
+    paths = [path for path, _ in iter_nodes(tree)]
+    return paths[int(rng.integers(len(paths)))]
+
+
+def _reference_mutate(tree, activities, rng, smax, mutation_rate, max_branch=4):
+    """Figure-9 mutation with one scalar draw per pre-order node."""
+    selected = [path for path, _ in iter_nodes(tree) if rng.random() < mutation_rate]
+    if not selected:
+        return tree
+    selected.sort(key=len)
+    kept = []
+    for path in selected:
+        if not any(path[: len(anc)] == anc for anc in kept):
+            kept.append(path)
+    current = tree
+    for path in kept:
+        replacement = random_tree(
+            activities, max_size=smax, rng=rng, max_branch=max_branch
+        )
+        candidate = replace_at(current, path, replacement)
+        if candidate.size <= smax:
+            current = candidate
+    return current
+
+
+def _reference_crossover(a, b, rng, smax, crossover_rate):
+    if rng.random() >= crossover_rate:
+        return a, b
+    path_a = _reference_random_node_path(a, rng)
+    path_b = _reference_random_node_path(b, rng)
+    child_a = replace_at(a, path_a, subtree_at(b, path_b))
+    child_b = replace_at(b, path_b, subtree_at(a, path_a))
+    if child_a.size > smax or child_b.size > smax:
+        return a, b
+    return child_a, child_b
+
+
+class TestPreorderPath:
+    def test_matches_iter_nodes_for_every_index(self, rng):
+        for size in (1, 2, 3, 7, 20, 40):
+            for _ in range(10):
+                tree = random_tree(ACTS, size=size, max_size=40, rng=rng)
+                paths = [path for path, _ in iter_nodes(tree)]
+                assert len(paths) == tree.size
+                for index, path in enumerate(paths):
+                    assert preorder_path(tree, index) == path
+
+    def test_out_of_range_raises(self):
+        tree = sequential("A", "B")
+        for index in (-1, 3):
+            with pytest.raises(PlanError):
+                preorder_path(tree, index)
+
+    def test_sizes_are_stored_and_exact(self, rng):
+        for _ in range(30):
+            tree = random_tree(ACTS, max_size=40, rng=rng)
+            assert tree.size == sum(1 for _ in iter_nodes(tree))
+
+
+class TestOperatorsMatchPreorderReference:
+    """The size-based operators return the same trees, and leave the RNG in
+    the same state, as the list-every-path formulation."""
+
+    def test_random_node_path(self):
+        trees = [random_tree(ACTS, max_size=40, rng=s) for s in range(40)]
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for tree in trees:
+            assert random_node_path(tree, ours) == _reference_random_node_path(
+                tree, ref
+            )
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("rate", [0.001, 0.05, 0.3, 1.0])
+    def test_mutate(self, rate):
+        trees = [random_tree(ACTS, max_size=40, rng=s) for s in range(60)]
+        ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for tree in trees:
+            got = mutate(tree, ACTS, ours, smax=40, mutation_rate=rate)
+            want = _reference_mutate(tree, ACTS, ref, smax=40, mutation_rate=rate)
+            assert got.struct_key() == want.struct_key()
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("smax", [10, 40])
+    def test_crossover(self, smax):
+        trees = [random_tree(ACTS, max_size=smax, rng=s) for s in range(60)]
+        ours, ref = np.random.default_rng(17), np.random.default_rng(17)
+        for a, b in zip(trees[::2], trees[1::2]):
+            got = crossover(a, b, ours, smax=smax, crossover_rate=0.7)
+            want = _reference_crossover(a, b, ref, smax=smax, crossover_rate=0.7)
+            assert [t.struct_key() for t in got] == [t.struct_key() for t in want]
+        assert ours.random() == ref.random()
