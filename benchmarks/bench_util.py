@@ -1,10 +1,10 @@
 """Shared scaffolding for the ``record_bench.py`` suites.
 
-Every suite needs the same four pieces — gc-frozen median timing, a host
-fingerprint for the committed JSON, the fingerprint-matched floor/ceiling
-gate, and the write-and-echo JSON verdict — and before this module each
-new suite copied them.  One definition here keeps the enact / obs /
-analysis / shard / planlib suites measuring and gating the same way.
+Every suite needs the same pieces — gc-frozen median timing, a host
+fingerprint for the committed JSON and the write-and-echo JSON record —
+so one definition here keeps the planner / bus / analysis / shard suites
+measuring the same way.  ``trace_rows`` is the message-trace view the
+golden digests and the trace-identity tests hash.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import statistics
 import time
 
 __all__ = [
-    "enforce_gate",
     "host_fingerprint",
-    "same_host",
     "time_fn",
     "trace_rows",
     "write_record",
@@ -69,54 +67,6 @@ def host_fingerprint():
         "platform": platform.platform(),
         "python": platform.python_version(),
     }
-
-
-def same_host(host, reference) -> bool:
-    """Whether *host* matches a committed reference fingerprint.
-
-    Python patch version is deliberately excluded: medians are comparable
-    across interpreter patches, not across CPU budgets or kernels.
-    """
-    return (
-        host["cpu_count"] == reference["cpu_count"]
-        and host["platform"] == reference["platform"]
-    )
-
-
-def enforce_gate(
-    label,
-    value,
-    bound,
-    host,
-    reference_host,
-    *,
-    mode="min",
-    unit="",
-    fmt="{:.2f}",
-) -> bool:
-    """Host-fingerprinted performance gate.
-
-    Skips (and passes) when *host* does not match *reference_host* —
-    cross-host medians say nothing about regression.  Otherwise requires
-    ``value >= bound`` (``mode="min"``) or ``value <= bound``
-    (``mode="max"``).  Prints the verdict either way and returns False
-    only on an enforced failure, so callers can ``return 1``.
-    """
-    if not same_host(host, reference_host):
-        print(
-            f"{label} gate skipped: host differs from the reference host "
-            f"({host['cpu_count']} cpus, {host['platform']})"
-        )
-        return True
-    shown = fmt.format(value)
-    failed = value < bound if mode == "min" else value > bound
-    if failed:
-        verb = "is below" if mode == "min" else "exceeds"
-        print(f"FAIL: {label} {shown}{unit} {verb} the {bound}{unit} bound")
-        return False
-    relation = ">=" if mode == "min" else "<="
-    print(f"{label} gate passed: {shown}{unit} {relation} {bound}{unit}")
-    return True
 
 
 def trace_rows(env):

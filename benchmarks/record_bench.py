@@ -1,9 +1,14 @@
-"""Record performance numbers (planner, bus, enactment, obs, analysis).
+"""Record performance numbers (planner, bus, analysis, shard).
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/record_bench.py \\
-        [--suite all|planner|bus|enact|obs|analysis]
+        [--suite all|planner|bus|analysis|shard]
+
+End-to-end throughput, latency, set-up time and memory of the grid are
+measured by ``gridbench/`` (``BENCHMARK.json``), and
+``tools/bench_gate.py`` gates them against a base revision.  The suites
+here record the numbers gridbench does not report.
 
 The **planner** suite (BENCH_planner.json) measures, on the Section-5
 case-study problem:
@@ -26,47 +31,13 @@ The **bus** suite (BENCH_bus.json) measures message-fabric throughput:
 * sequential RPC round trips through ``Agent.call`` (request, handler
   dispatch, reply, latency histogram).
 
-The **enact** suite (BENCH_enact.json) measures end-to-end enactment
-throughput on the ``many_cases`` workload (K concurrent cases of one
-workflow through the full matchmaking -> scheduling -> container path):
-
-* the default configuration (tracing on, no caches — traces stay
-  byte-identical to the pre-optimization code);
-* the per-enactment-recompile configuration (``program_cache_size=0``),
-  isolating the compiled-program cache's contribution;
-* the all-knobs throughput configuration (tracing off, fact / match /
-  candidate caches, metrics off, async reports, coalesced resumption),
-  plus the cache-hit counters of one instrumented run;
-* a 1k-case serial stress row (the ``--min-stress-cases-per-s`` floor
-  gate watches it, host-fingerprint-matched like the obs gate).
-
-``--verify-traces`` adds the enact suite's byte-identity gates: the
-unsharded grid vs ``shards=1`` and journal-off vs ``journal="record"``.
-
 The **shard** suite (BENCH_shard.json) measures the sharded
-multi-coordinator grid on a 10k-case ``many_cases`` population:
-
-* one row per shard count in {1, 2, 4, 8} — fast-path knobs, cases
-  assigned to shards by consistent hash of the case id, one process per
-  shard (``run_many_cases(shards=N)``);
-* the scaling table relative to the single-shard row (the
-  ``--min-shard-scaling`` floor gate watches the 8-shard entry,
-  host-fingerprint-matched like the other gates);
-* the shards=1 byte-identity gate: the single-shard sharded grid must
-  produce exactly the unsharded grid's message trace (also enforced by
-  ``--verify-traces``).
-
-The **obs** suite (BENCH_obs.json) measures the span-telemetry layer's
-cost on the same workload:
-
-* the default spans-off configuration against the committed pre-obs
-  baseline — the ``--max-disabled-overhead`` gate fails the run when the
-  regression exceeds the given percentage (host-fingerprint-matched
-  only, since cross-host medians are not comparable);
-* spans-on and spans-on-plus-gauges configurations (the honest price of
-  full recording);
-* one instrumented run's span accounting, case-0 profile coverage, and
-  gauge summaries.
+multi-coordinator grid on a 10k-case ``many_cases`` population: one row
+per shard count in {1, 2, 4, 8} (fast-path knobs, cases assigned to
+shards by consistent hash of the case id, one process per shard), and the
+scaling table relative to the single-shard row.  The table is a record,
+not a gate: a population small enough for CI cannot amortise process
+start-up.
 
 The **analysis** suite (BENCH_analysis.json) measures the semantic
 workflow verifier:
@@ -79,39 +50,13 @@ workflow verifier:
   identical, while ``analysis_rejected`` records how many candidate
   simulations the filter made unnecessary.
 
-The **planlib** suite (BENCH_planlib.json) measures the persistent plan
-library's warm-start path on the repeated-goal ``plan_mix`` workload:
-
-* cold (``library="off"``) vs warm (``library="on"``) per-request
-  planning-latency percentiles (p50/p95), plus the warm-hit-path
-  percentiles and the p50 speedup (the ``--min-warm-speedup`` floor
-  gate, host-fingerprint-matched like the other gates);
-* the hit / repair / seed / miss ladder counters of the warm run and of
-  a third run with a mid-run service kill (the repair leg);
-* the library-off byte-identity gate: a grid with a library wired but
-  ``GPConfig.library="off"`` must produce exactly the unwired grid's
-  message trace and GP results (enforced unconditionally).
-
-The **prov** suite (BENCH_prov.json) measures the case flight recorder:
-
-* journal-off (the default) against the committed pre-prov baseline —
-  the ``--max-journal-overhead`` gate fails the run when the regression
-  exceeds the given percentage (host-fingerprint-matched only);
-* record-only and full-mirror rows (the honest price of each mode);
-* a 1k-case record-only append-throughput stress row (events/s) on the
-  fast-path knobs;
-* the enacted ``plan_mix`` acceptance workload replayed case-by-case
-  from storage blobs alone — replay wall time plus the journal-vs-span
-  agreement, enforced at >= 0.95 per case unconditionally;
-* the record-only byte-identity gate (also enforced by
-  ``--verify-traces``), recorded into the JSON itself.
-
 Each PR can re-run this and diff against the committed JSON to keep a
 perf trajectory.  Timings are medians of --rounds repetitions; the host
 block records the CPU budget the numbers were taken under (a single-core
 host cannot show a parallel win — the dispatch overhead is then the
 honest number).
 """
+
 
 from __future__ import annotations
 
@@ -121,10 +66,8 @@ import os
 import numpy as np
 
 from bench_util import (
-    enforce_gate,
     host_fingerprint as _host,
     time_fn as _time,
-    trace_rows,
     write_record as _write,
 )
 from repro.plan import random_tree, terminal
@@ -274,23 +217,10 @@ def bench_bus_throughput(rounds, oneway_count=5_000, rpc_count=2_000):
     return out
 
 
-#: Pre-PR reference point for the enact suite, measured on the grading
-#: host immediately before the throughput layer landed (commit 65ff5fe,
-#: 32 cases / 4 containers / 3 rounds, median of 5): kept in the JSON so
-#: the speedup is computable without checking out the old tree.
-PRE_PR_BASELINE = {
-    "median_s": 0.4497,
-    "min_s": 0.3987,
-    "rounds": 5,
-    "commit": "65ff5fe",
-    "note": "same workload driver, pre-optimization enactment path",
-}
-
 #: Every throughput knob at once: tracing off, all three TTL caches
 #: effectively run-long, metrics registry off, one-way performance
-#: reports, and coalesced same-tick resumption.  This is the configuration
-#: the 10x acceptance target is measured on; each knob is individually
-#: opt-in and individually measured in the counters rows.
+#: reports, and coalesced same-tick resumption.  The shard suite's rows
+#: run on it; each knob is individually opt-in.
 FAST_PATH_KNOBS = {
     "tracing": False,
     "match_cache_ttl": 120.0,
@@ -301,158 +231,6 @@ FAST_PATH_KNOBS = {
     "coalesce": True,
 }
 
-#: Host-fingerprinted reference for the 1k-case stress row.  The
-#: ``--min-stress-cases-per-s`` floor gate is enforced only when the
-#: current host matches this fingerprint — cross-host rates say nothing
-#: about regression.  Measured on the grading host (serial fast path,
-#: gc frozen during samples).
-STRESS_REFERENCE = {
-    "cases": 1000,
-    "containers": 8,
-    "cases_per_s": 525.0,
-    "host": {
-        "cpu_count": 1,
-        "platform": "Linux-6.18.5-fc-v20-x86_64-with-glibc2.36",
-    },
-    "note": "serial fast-path stress row, grading host",
-}
-
-
-def _workload_fingerprint(result):
-    """Everything observable about a workload run, for identity gates."""
-    return {
-        "trace": trace_rows(result["env"]),
-        "outcomes": repr(result["outcomes"]),
-        "completed": result["completed"],
-        "makespan": result["makespan"],
-        "engine_events": result["engine_events"],
-    }
-
-
-def verify_sharded_trace_identity(cases=8, containers=4):
-    """Byte-identity gate: the unsharded grid vs ``shards=1``.
-
-    The single-shard sharded environment keeps every well-known service
-    name, constructs agents in the same order, and resolves every ring
-    rewrite to the identity — so the default-configuration workload must
-    produce exactly the same delivered-message trace and per-case
-    outcomes through the sharded bootstrap and routing seam as through
-    ``standard_environment``.
-    """
-    from repro.workloads import run_many_cases
-
-    default = _workload_fingerprint(
-        run_many_cases(cases=cases, containers=containers)
-    )
-    sharded = _workload_fingerprint(
-        run_many_cases(cases=cases, containers=containers, shards=1)
-    )
-    identical = (
-        default["trace"] == sharded["trace"]
-        and default["outcomes"] == sharded["outcomes"]
-        and default["completed"] == sharded["completed"]
-        and default["makespan"] == sharded["makespan"]
-    )
-    gate = {
-        "cases": cases,
-        "containers": containers,
-        "identical": identical,
-        "messages_compared": len(default["trace"]),
-        "completed": default["completed"],
-    }
-    if not identical:
-        for index, (one, other) in enumerate(
-            zip(default["trace"], sharded["trace"])
-        ):
-            if one != other:
-                gate["first_divergence"] = {
-                    "index": index,
-                    "default": one,
-                    "sharded": other,
-                }
-                break
-        else:
-            gate["first_divergence"] = {
-                "index": min(len(default["trace"]), len(sharded["trace"])),
-                "default_len": len(default["trace"]),
-                "sharded_len": len(sharded["trace"]),
-            }
-    return gate
-
-
-def bench_enact(rounds, cases=32, containers=4, stress_cases=1000):
-    """End-to-end enactment throughput on the many_cases workload."""
-    from repro.workloads import run_many_cases
-
-    out = {"cases": cases, "containers": containers}
-
-    configs = {
-        # Default path: byte-identical traces, program cache on.
-        "default_tracing": {},
-        # Program cache disabled: recompile per enactment (the old shape).
-        "no_program_cache": {"program_cache_size": 0},
-        # Throughput path: every knob at once (see FAST_PATH_KNOBS).
-        "optimized_fast_path": dict(FAST_PATH_KNOBS),
-    }
-    for label, knobs in configs.items():
-        timing = _time(lambda knobs=knobs: run_many_cases(
-            cases=cases, containers=containers, **knobs
-        ), rounds)
-        timing["cases_per_s"] = cases / timing["median_s"]
-        out[label] = timing
-
-    # 1k-case stress row: same fast path, more contention (makespan grows
-    # with the case count, so the rate is lower than the 32-case row —
-    # that is the honest sustained number the CI floor gate watches).
-    stress_rounds = 1 if rounds <= 2 else 3
-    timing = _time(lambda: run_many_cases(
-        cases=stress_cases,
-        containers=STRESS_REFERENCE["containers"],
-        **FAST_PATH_KNOBS,
-    ), stress_rounds)
-    timing["cases"] = stress_cases
-    timing["containers"] = STRESS_REFERENCE["containers"]
-    timing["cases_per_s"] = stress_cases / timing["median_s"]
-    out["stress_1k"] = timing
-
-    # One instrumented run: completion + cache-hit counters via the
-    # metrics registry prove the caches actually carried the load (same
-    # knobs as the fast path but with the registry left on).
-    instrumented = dict(FAST_PATH_KNOBS)
-    instrumented["metrics"] = True
-    result = run_many_cases(cases=cases, containers=containers, **instrumented)
-    out["counters_optimized"] = result["counters"]
-    out["counters_optimized"]["completed_cases"] = result["completed"]
-    out["counters_optimized"]["activities_run"] = result["activities_run"]
-    out["counters_optimized"]["engine_events"] = result["engine_events"]
-    result = run_many_cases(cases=cases, containers=containers)
-    out["counters_default"] = result["counters"]
-
-    out["pre_pr_baseline"] = dict(PRE_PR_BASELINE)
-    out["stress_reference"] = dict(STRESS_REFERENCE)
-    baseline = PRE_PR_BASELINE["median_s"]
-    out["speedup_default_vs_pre_pr"] = baseline / out["default_tracing"]["median_s"]
-    out["speedup_optimized_vs_pre_pr"] = (
-        baseline / out["optimized_fast_path"]["median_s"]
-    )
-    return out
-
-
-#: Host-fingerprinted reference for the shard suite's scaling-floor gate:
-#: ``--min-shard-scaling`` compares the 8-shard row's throughput against
-#: the 1-shard row and is enforced only on a matching host.  On the
-#: single-core grading host the win comes from superlinear cost avoidance
-#: (eight small environments beat one 10k-case environment on scheduler
-#: scan and heap growth), not from parallelism.
-SHARD_REFERENCE = {
-    "cases": 10_000,
-    "containers": 8,
-    "host": {
-        "cpu_count": 1,
-        "platform": "Linux-6.18.5-fc-v20-x86_64-with-glibc2.36",
-    },
-    "note": "fast-path 10k-case rows, grading host",
-}
 
 #: Shard counts measured by the shard suite.
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -496,81 +274,6 @@ def bench_shard(rounds, cases=10_000, containers=8):
     out["assignment_spread_10k"] = {
         label: len(indices)
         for label, indices in shard_assignment(cases, max(SHARD_COUNTS)).items()
-    }
-    # The shards=1 byte-identity gate is part of the record itself.
-    out["trace_gate_shards1"] = verify_sharded_trace_identity()
-    out["shard_reference"] = dict(SHARD_REFERENCE)
-    return out
-
-
-#: Pre-PR reference point for the obs suite, measured on the grading host
-#: immediately before the span-telemetry layer landed (commit 882c84e,
-#: 32 cases / 4 containers, median of 7): the disabled-overhead gate
-#: compares against this — but only when the host fingerprint matches,
-#: since cross-host medians say nothing about regression.
-PRE_OBS_BASELINE = {
-    "median_s": 0.306,
-    "min_s": 0.282,
-    "rounds": 7,
-    "commit": "882c84e",
-    "host": {
-        "cpu_count": 1,
-        "platform": "Linux-6.18.5-fc-v19-x86_64-with-glibc2.36",
-    },
-    "note": "many_cases default config, pre span-instrumentation tree",
-}
-
-
-def bench_obs(rounds, cases=32, containers=4):
-    """Span-telemetry overhead: disabled (the default) must stay free."""
-    from repro.obs.profile import case_profile
-    from repro.workloads import run_many_cases
-
-    out = {"cases": cases, "containers": containers}
-
-    configs = {
-        # Default path: recording off; must track PRE_OBS_BASELINE.
-        "spans_off": {},
-        # Full recording: every layer opens/closes spans.
-        "spans_on": {"spans": True},
-        # Recording plus periodic gauge sampling.
-        "spans_on_gauges": {"spans": True, "gauge_period": 5.0},
-    }
-    for label, knobs in configs.items():
-        timing = _time(lambda knobs=knobs: run_many_cases(
-            cases=cases, containers=containers, **knobs
-        ), rounds)
-        timing["cases_per_s"] = cases / timing["median_s"]
-        out[label] = timing
-
-    baseline = PRE_OBS_BASELINE["median_s"]
-    out["pre_obs_baseline"] = dict(PRE_OBS_BASELINE)
-    out["disabled_overhead_pct"] = (
-        (out["spans_off"]["median_s"] - baseline) / baseline * 100.0
-    )
-    out["enabled_overhead_pct"] = (
-        (out["spans_on"]["median_s"] - out["spans_off"]["median_s"])
-        / out["spans_off"]["median_s"] * 100.0
-    )
-
-    # One instrumented run proves the recording is complete and balanced:
-    # every span pairs, and the profile attributes the case window.
-    result = run_many_cases(
-        cases=cases, containers=containers, spans=True, gauge_period=5.0
-    )
-    out["span_accounting"] = result["spans"]
-    profile = case_profile(result["env"].spans, case="case-0")
-    out["profile_case0"] = {
-        "coverage": profile["coverage"],
-        "duration": profile["duration"],
-        "spans": profile["spans"],
-    }
-    gauges = result["env"].gauges.summary()
-    out["gauges"] = {
-        name: series
-        for name, series in gauges.items()
-        if name in ("spans.open", "transfers.inflight")
-        or name.endswith("slots_in_use")
     }
     return out
 
@@ -676,395 +379,6 @@ def bench_analysis(rounds, iterations=200):
     out["race_simulations_additionally_skipped_pct"] = (
         race.race_rejected / race.evaluations * 100.0
     )
-
-    out["race_witness"] = _witness_precision()
-    return out
-
-
-def _witness_precision():
-    """Enact a deliberately racy two-branch fork under ``journal=True``
-    and replay the journal against the static conflicts.
-
-    The intake gate would (correctly) refuse the specimen on its E601,
-    so the bench tolerates that code for this one grid — the point is to
-    measure how many statically-flagged races the runtime record bears
-    out (confirmed / checkable = the witness precision)."""
-    from repro.analysis import interference_conflicts, race_witness
-    from repro.grid.container import EndUserService
-    from repro.process.builder import WorkflowBuilder
-    from repro.process.model import Activity
-    from repro.services.bootstrap import standard_environment
-
-    library = {
-        "WA": Activity("WA", service="SVA", inputs=("d0",), outputs=("r",)),
-        "WB": Activity("WB", service="SVB", inputs=("d0",), outputs=("r",)),
-    }
-    pd = (
-        WorkflowBuilder("racy-fork")
-        .fork(lambda b: b.activity("WA"), lambda b: b.activity("WB"))
-        .build(library)
-    )
-    conflicts = interference_conflicts(pd)
-    services = [
-        EndUserService("SVA", work=3.0, effects={"r": {"Status": "ready"}}),
-        EndUserService("SVB", work=5.0, effects={"r": {"Status": "ready"}}),
-    ]
-    env, core, _ = standard_environment(services, containers=2, journal=True)
-    core.coordination.tolerated_findings = (
-        core.coordination.tolerated_findings | {"E601", "W602"}
-    )
-    outcome = {}
-
-    def enact():
-        outcome["reply"] = yield from core.coordination.call(
-            "coordination",
-            "execute-task",
-            {
-                "process": pd,
-                "initial_data": {"d0": {"Status": "ready"}},
-                "task": "racy-0",
-            },
-        )
-
-    env.engine.spawn(enact(), "driver")
-    env.run(max_events=2_000_000)
-    assert outcome["reply"]["status"] == "completed"
-    report = race_witness(env.journal.events("racy-0"), conflicts)
-    return {
-        "static_conflicts": len(conflicts),
-        "confirmed": report.confirmed,
-        "refuted": report.refuted,
-        "unobserved": report.unobserved,
-        "checkable": report.checkable,
-        "precision": report.precision,
-        "verdicts": [v.to_dict() for v in report.verdicts],
-    }
-
-
-#: Host-fingerprinted reference for the concurrency-witness gate: on the
-#: grading host the racy-fork specimen's two branches always overlap, so
-#: every checkable static race must be journal-confirmed.  The
-#: ``--min-witness-precision`` floor is enforced only on this host.
-ANALYSIS_REFERENCE = {
-    "witness_precision": 1.0,
-    "host": {
-        "cpu_count": 1,
-        "platform": "Linux-6.18.5-fc-v20-x86_64-with-glibc2.36",
-    },
-    "note": "racy two-branch fork enacted with journal=True, grading host",
-}
-
-
-#: Host-fingerprinted reference for the plan-library warm-start suite.
-#: The ``--min-warm-speedup`` floor gate is enforced only when the current
-#: host matches this fingerprint.  Measured on the grading host (24
-#: requests over 4 goal variants, population 40 / 8 generations).
-PLANLIB_REFERENCE = {
-    "requests": 24,
-    "distinct": 4,
-    "warm_speedup_p50": 30.0,
-    "host": {
-        "cpu_count": 1,
-        "platform": "Linux-6.18.5-fc-v20-x86_64-with-glibc2.36",
-    },
-    "note": "cold GP p50 over warm hit-path p50, grading host",
-}
-
-
-def _latency_percentiles(samples):
-    """p50/p95 of per-request planning latencies (nearest-rank)."""
-    ordered = sorted(samples)
-
-    def pct(p):
-        if not ordered:
-            return 0.0
-        return ordered[min(len(ordered) - 1, round(p / 100 * (len(ordered) - 1)))]
-
-    return {"p50_s": pct(50), "p95_s": pct(95), "n": len(ordered)}
-
-
-def verify_library_off_identity(requests=8, distinct=4):
-    """Byte-identity gate: library wired but ``library="off"`` vs unwired.
-
-    ``GPConfig.library="off"`` must leave the planning service on the
-    pre-library code path exactly — same GP populations (hence fitness and
-    replies), same default message trace — even when a :class:`PlanLibrary`
-    and knowledge base are wired into the grid.  The unwired half of the
-    pair runs the original handler body with zero generator yields, i.e.
-    the pre-PR behavior.
-    """
-    from repro.workloads import run_plan_mix
-
-    def observable(wired):
-        result = run_plan_mix(
-            requests=requests,
-            distinct=distinct,
-            library="off",
-            wire_disabled_library=wired,
-        )
-        return {
-            "trace": trace_rows(result["env"]),
-            "fitness": result["fitness"],
-            "sources": result["sources"],
-            "solved": result["solved"],
-            "makespan": result["makespan"],
-        }
-
-    wired = observable(True)
-    plain = observable(False)
-    identical = wired == plain
-    gate = {
-        "requests": requests,
-        "identical": identical,
-        "messages_compared": len(plain["trace"]),
-    }
-    if not identical:
-        for index, (one, other) in enumerate(
-            zip(wired["trace"], plain["trace"])
-        ):
-            if one != other:
-                gate["first_divergence"] = {
-                    "index": index,
-                    "wired_off": one,
-                    "unwired": other,
-                }
-                break
-        else:
-            gate["first_divergence"] = {
-                "wired_len": len(wired["trace"]),
-                "unwired_len": len(plain["trace"]),
-                "fitness_equal": wired["fitness"] == plain["fitness"],
-            }
-    return gate
-
-
-def bench_planlib(requests=24, distinct=4):
-    """Plan-library warm-start: cold vs warm latency plus the ladder counts.
-
-    Three runs of the repeated-goal ``plan_mix`` traffic:
-
-    * cold — ``library="off"``, every request is a full GP run (the
-      baseline percentiles);
-    * warm — ``library="on"``, first occurrences miss or seed, repeats are
-      analyzer-verified hits (the warm-hit percentiles and the speedup);
-    * stale — warm plus a mid-run service kill, exercising the repair leg.
-    """
-    from repro.workloads import run_plan_mix
-
-    out = {"requests": requests, "distinct": distinct}
-
-    cold = run_plan_mix(requests=requests, distinct=distinct, library="off")
-    out["cold_library_off"] = {
-        **_latency_percentiles(cold["latencies"]),
-        "solved": cold["solved"],
-    }
-
-    warm = run_plan_mix(requests=requests, distinct=distinct, library="on")
-    hit_latencies = [
-        latency
-        for latency, source in zip(warm["latencies"], warm["sources"])
-        if source in ("hit", "repair")
-    ]
-    out["warm_library_on"] = {
-        **_latency_percentiles(warm["latencies"]),
-        "solved": warm["solved"],
-        "library_entries": warm["library_entries"],
-        "sources": warm["sources"],
-    }
-    out["warm_hit_path"] = _latency_percentiles(hit_latencies)
-    out["counts"] = warm["counts"]
-    out["warm_speedup_p50"] = (
-        out["cold_library_off"]["p50_s"] / out["warm_hit_path"]["p50_s"]
-        if out["warm_hit_path"]["p50_s"] > 0
-        else 0.0
-    )
-
-    stale = run_plan_mix(
-        requests=requests,
-        distinct=distinct,
-        library="on",
-        kill_after=max(1, requests // 2),
-    )
-    out["repair_leg"] = {
-        "killed_service": stale["killed"],
-        "counts": stale["counts"],
-        "sources": stale["sources"],
-        "solved": stale["solved"],
-    }
-
-    out["planlib_reference"] = dict(PLANLIB_REFERENCE)
-    out["library_off_identity"] = verify_library_off_identity()
-    return out
-
-
-#: Host-fingerprinted reference for the flight-recorder overhead gate:
-#: the default (journal off) many_cases median measured immediately
-#: before the journal hooks landed in coordination / containers /
-#: transfer.  ``--max-journal-overhead`` compares the current
-#: journal-off median against this on the matching host only.
-PRE_PROV_BASELINE = {
-    "median_s": 0.176,
-    "min_s": 0.166,
-    "rounds": 7,
-    "host": {
-        "cpu_count": 1,
-        "platform": "Linux-6.18.5-fc-v20-x86_64-with-glibc2.36",
-    },
-    "note": "many_cases default config, pre journal-instrumentation tree",
-}
-
-
-def verify_journal_trace_identity(cases=8, containers=4):
-    """Byte-identity gate: journal record-only vs journal off.
-
-    Record-only journaling (``journal="record"``) appends events purely
-    in Python — no storage RPCs, no simulation events — so the full
-    observable record (every delivered message plus per-case outcomes
-    and makespan) must match a journal-off run byte-for-byte.  (The
-    mirror mode ``journal=True`` adds real store RPCs at case end and is
-    deliberately excluded: its traffic is the documented price of
-    persistence.)
-    """
-    from repro.workloads import run_many_cases
-
-    def observable(journal):
-        result = run_many_cases(
-            cases=cases, containers=containers, journal=journal
-        )
-        return {
-            "trace": trace_rows(result["env"]),
-            "outcomes": repr(result["outcomes"]),
-            "completed": result["completed"],
-            "makespan": result["makespan"],
-        }
-
-    recorded = observable("record")
-    plain = observable(False)
-    identical = recorded == plain
-    gate = {
-        "cases": cases,
-        "containers": containers,
-        "identical": identical,
-        "messages_compared": len(plain["trace"]),
-    }
-    if not identical:
-        for index, (one, other) in enumerate(
-            zip(recorded["trace"], plain["trace"])
-        ):
-            if one != other:
-                gate["first_divergence"] = {
-                    "index": index,
-                    "journal_record": one,
-                    "journal_off": other,
-                }
-                break
-        else:
-            gate["first_divergence"] = {
-                "record_len": len(recorded["trace"]),
-                "off_len": len(plain["trace"]),
-                "outcomes_equal": recorded["outcomes"] == plain["outcomes"],
-            }
-    return gate
-
-
-def bench_prov(rounds, cases=32, containers=4, stress_cases=1000):
-    """Flight-recorder cost: journal modes, append throughput, replay.
-
-    * journal-off (the default) against the committed pre-prov baseline
-      (the ``--max-journal-overhead`` gate watches this row);
-    * record-only and full-mirror rows (the honest price of each mode);
-    * a 1k-case record-only stress row on the fast-path knobs — events
-      appended per second is the journal's append throughput;
-    * the enacted ``plan_mix`` acceptance workload: every case's journal
-      replayed from its storage blob alone, wall time recorded, and the
-      journal-vs-span agreement enforced at >= 0.95 per case
-      (unconditionally — agreement is host-independent).
-    """
-    import time as _walltime
-
-    from repro.obs.provenance import journal_replay
-    from repro.workloads import run_many_cases, run_plan_mix
-
-    out = {"cases": cases, "containers": containers}
-
-    # One untimed run first: the 1% overhead gate is tighter than the
-    # cold-process warm-up penalty (imports, allocator, bytecode), which
-    # would otherwise land entirely on the first-timed config.
-    run_many_cases(cases=cases, containers=containers)
-
-    configs = {
-        "journal_off": {},
-        "journal_record": {"journal": "record"},
-        "journal_mirror": {"journal": True},
-    }
-    for label, knobs in configs.items():
-        timing = _time(lambda knobs=knobs: run_many_cases(
-            cases=cases, containers=containers, **knobs
-        ), rounds)
-        timing["cases_per_s"] = cases / timing["median_s"]
-        out[label] = timing
-
-    baseline = PRE_PROV_BASELINE["median_s"]
-    out["pre_prov_baseline"] = dict(PRE_PROV_BASELINE)
-    out["journal_disabled_overhead_pct"] = (
-        (out["journal_off"]["median_s"] - baseline) / baseline * 100.0
-    )
-    out["record_overhead_pct"] = (
-        (out["journal_record"]["median_s"] - out["journal_off"]["median_s"])
-        / out["journal_off"]["median_s"] * 100.0
-    )
-    out["mirror_overhead_pct"] = (
-        (out["journal_mirror"]["median_s"] - out["journal_off"]["median_s"])
-        / out["journal_off"]["median_s"] * 100.0
-    )
-
-    # Append throughput: 1k cases on the fast-path knobs, record-only.
-    started = _walltime.perf_counter()
-    stress = run_many_cases(
-        cases=stress_cases, containers=8, journal="record", **FAST_PATH_KNOBS
-    )
-    elapsed = _walltime.perf_counter() - started
-    stats = stress["journal"]
-    out["stress_1k_record"] = {
-        "cases": stress_cases,
-        "completed": stress["completed"],
-        "elapsed_s": elapsed,
-        "events_appended": stats["appended"],
-        "events_per_s": stats["appended"] / elapsed if elapsed > 0 else 0.0,
-        "cases_per_s": stress_cases / elapsed if elapsed > 0 else 0.0,
-    }
-
-    # Replay: the enacted plan_mix acceptance workload, rebuilt from
-    # storage blobs alone and cross-checked against live spans.
-    mix = run_plan_mix(
-        requests=8, distinct=4, enact=True, journal=True, spans=True
-    )
-    services, env = mix["services"], mix["env"]
-    replays = []
-    started = _walltime.perf_counter()
-    for index in range(mix["requests"]):
-        replay = journal_replay(
-            services.storage, f"mix-{index}", recorder=env.spans
-        )
-        replays.append(replay)
-    replay_elapsed = _walltime.perf_counter() - started
-    agreements = [r["agreement"]["agreement"] for r in replays]
-    out["replay"] = {
-        "cases": mix["requests"],
-        "completed": mix["completed"],
-        "plan_sources": mix["sources"],
-        "journal_events": mix["journal"]["appended"],
-        "wall_s": replay_elapsed,
-        "events_per_s": (
-            sum(r["events"] for r in replays) / replay_elapsed
-            if replay_elapsed > 0
-            else 0.0
-        ),
-        "agreement_min": min(agreements),
-        "agreements": agreements,
-    }
-
-    out["journal_trace_identity"] = verify_journal_trace_identity()
     return out
 
 
@@ -1072,98 +386,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--suite",
-        choices=(
-            "all",
-            "planner",
-            "bus",
-            "enact",
-            "obs",
-            "analysis",
-            "shard",
-            "planlib",
-            "prov",
-        ),
+        choices=("all", "planner", "bus", "analysis", "shard"),
         default="all",
     )
     parser.add_argument("--out", default="BENCH_planner.json")
     parser.add_argument("--bus-out", default="BENCH_bus.json")
-    parser.add_argument("--enact-out", default="BENCH_enact.json")
-    parser.add_argument("--obs-out", default="BENCH_obs.json")
     parser.add_argument("--analysis-out", default="BENCH_analysis.json")
     parser.add_argument("--shard-out", default="BENCH_shard.json")
-    parser.add_argument("--planlib-out", default="BENCH_planlib.json")
-    parser.add_argument("--prov-out", default="BENCH_prov.json")
-    parser.add_argument(
-        "--max-journal-overhead",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="fail (exit 1) if the prov suite's journal-off median exceeds "
-        "the committed pre-prov baseline by more than PCT percent; only "
-        "enforced when the host fingerprint matches the baseline host",
-    )
-    parser.add_argument(
-        "--min-warm-speedup",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="fail (exit 1) if the planlib suite's warm-hit p50 latency is "
-        "not at least FACTOR times below the cold (library-off) p50; only "
-        "enforced when the host fingerprint matches the committed planlib "
-        "reference host",
-    )
-    parser.add_argument(
-        "--min-witness-precision",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="fail (exit 1) if the analysis suite's race-witness precision "
-        "(journal-confirmed over checkable static races) falls below "
-        "FRACTION; only enforced when the host fingerprint matches the "
-        "committed analysis reference host",
-    )
     parser.add_argument(
         "--shard-cases",
         type=int,
         default=10_000,
         help="population size for the shard suite's scaling rows",
     )
-    parser.add_argument(
-        "--min-shard-scaling",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="fail (exit 1) if the shard suite's 8-shard row is less than "
-        "FACTOR times the 1-shard row's throughput; only enforced when "
-        "the host fingerprint matches the committed shard reference host",
-    )
-    parser.add_argument(
-        "--max-disabled-overhead",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="fail (exit 1) if the obs suite's spans-off median exceeds "
-        "the committed pre-obs baseline by more than PCT percent; only "
-        "enforced when the host fingerprint matches the baseline host",
-    )
-    parser.add_argument(
-        "--min-stress-cases-per-s",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="fail (exit 1) if the enact suite's 1k-case stress row falls "
-        "below RATE cases/s; only enforced when the host fingerprint "
-        "matches the committed stress reference host",
-    )
-    parser.add_argument(
-        "--verify-traces",
-        action="store_true",
-        help="after the enact suite, run the default-tracing workload "
-        "unsharded and with shards=1, and journal-off and with "
-        'journal="record", and fail (exit 1) unless each pair\'s '
-        "delivered-message traces and per-case outcomes are byte-identical",
-    )
-    parser.add_argument("--cases", type=int, default=32)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument(
         "--workers",
@@ -1192,173 +427,21 @@ def main(argv=None) -> int:
         }
         _write(args.bus_out, record)
 
-    if args.suite in ("all", "enact"):
-        host = _host()
-        record = {
-            "benchmark": "enactment throughput (many_cases workload)",
-            "host": host,
-            "enact": bench_enact(args.rounds, cases=args.cases),
-        }
-        _write(args.enact_out, record)
-        if args.verify_traces:
-            gate = verify_sharded_trace_identity(cases=args.cases)
-            if not gate["identical"]:
-                print(
-                    "FAIL: unsharded and shards=1 grids diverge: "
-                    f"{gate.get('first_divergence')}"
-                )
-                return 1
-            print(
-                "shard trace gate passed: unsharded and shards=1 grids "
-                f"byte-identical over {gate['messages_compared']} messages "
-                f"({gate['cases']} cases)"
-            )
-            gate = verify_journal_trace_identity(cases=args.cases)
-            if not gate["identical"]:
-                print(
-                    "FAIL: record-only journal diverges from journal-off: "
-                    f"{gate.get('first_divergence')}"
-                )
-                return 1
-            print(
-                "journal trace gate passed: record-only and journal-off "
-                f"byte-identical over {gate['messages_compared']} messages "
-                f"({gate['cases']} cases)"
-            )
-        if args.min_stress_cases_per_s is not None and not enforce_gate(
-            "stress floor (--min-stress-cases-per-s)",
-            record["enact"]["stress_1k"]["cases_per_s"],
-            args.min_stress_cases_per_s,
-            host,
-            STRESS_REFERENCE["host"],
-            mode="min",
-            unit=" cases/s",
-            fmt="{:.0f}",
-        ):
-            return 1
-
     if args.suite in ("all", "shard"):
-        host = _host()
         record = {
             "benchmark": "sharded-grid scaling (many_cases workload)",
-            "host": host,
+            "host": _host(),
             "shard": bench_shard(args.rounds, cases=args.shard_cases),
         }
         _write(args.shard_out, record)
-        if not record["shard"]["trace_gate_shards1"]["identical"]:
-            print(
-                "FAIL: unsharded and shards=1 grids diverge: "
-                f"{record['shard']['trace_gate_shards1'].get('first_divergence')}"
-            )
-            return 1
-        if args.min_shard_scaling is not None and not enforce_gate(
-            f"{max(SHARD_COUNTS)}-shard scaling (--min-shard-scaling)",
-            record["shard"]["scaling_vs_1_shard"][f"shards_{max(SHARD_COUNTS)}"],
-            args.min_shard_scaling,
-            host,
-            SHARD_REFERENCE["host"],
-            mode="min",
-            unit="x",
-        ):
-            return 1
 
     if args.suite in ("all", "analysis"):
-        host = _host()
         record = {
             "benchmark": "semantic workflow verifier (analysis package)",
-            "host": host,
+            "host": _host(),
             "analysis": bench_analysis(args.rounds),
         }
         _write(args.analysis_out, record)
-        if args.min_witness_precision is not None and not enforce_gate(
-            "race-witness precision (--min-witness-precision)",
-            record["analysis"]["race_witness"]["precision"],
-            args.min_witness_precision,
-            host,
-            ANALYSIS_REFERENCE["host"],
-            mode="min",
-        ):
-            return 1
-
-    if args.suite in ("all", "obs"):
-        host = _host()
-        record = {
-            "benchmark": "span telemetry overhead (many_cases workload)",
-            "host": host,
-            "obs": bench_obs(args.rounds, cases=args.cases),
-        }
-        _write(args.obs_out, record)
-        if args.max_disabled_overhead is not None and not enforce_gate(
-            "spans-off disabled-overhead (--max-disabled-overhead)",
-            record["obs"]["disabled_overhead_pct"],
-            args.max_disabled_overhead,
-            host,
-            PRE_OBS_BASELINE["host"],
-            mode="max",
-            unit="%",
-            fmt="{:+.1f}",
-        ):
-            return 1
-
-    if args.suite in ("all", "planlib"):
-        host = _host()
-        record = {
-            "benchmark": "plan library warm-start (plan_mix workload)",
-            "host": host,
-            "planlib": bench_planlib(),
-        }
-        _write(args.planlib_out, record)
-        gate = record["planlib"]["library_off_identity"]
-        if not gate["identical"]:
-            print(
-                "FAIL: library-off grid diverges from the unwired grid: "
-                f"{gate.get('first_divergence')}"
-            )
-            return 1
-        if args.min_warm_speedup is not None and not enforce_gate(
-            "warm-hit speedup (--min-warm-speedup)",
-            record["planlib"]["warm_speedup_p50"],
-            args.min_warm_speedup,
-            host,
-            PLANLIB_REFERENCE["host"],
-            mode="min",
-            unit="x",
-        ):
-            return 1
-
-    if args.suite in ("all", "prov"):
-        host = _host()
-        record = {
-            "benchmark": "case flight recorder (journal + provenance replay)",
-            "host": host,
-            "prov": bench_prov(args.rounds, cases=args.cases),
-        }
-        _write(args.prov_out, record)
-        gate = record["prov"]["journal_trace_identity"]
-        if not gate["identical"]:
-            print(
-                "FAIL: record-only journal diverges from journal-off: "
-                f"{gate.get('first_divergence')}"
-            )
-            return 1
-        agreement = record["prov"]["replay"]["agreement_min"]
-        if agreement < 0.95:
-            print(
-                "FAIL: journal replay disagrees with live spans "
-                f"(min agreement {agreement:.3f} < 0.95)"
-            )
-            return 1
-        if args.max_journal_overhead is not None and not enforce_gate(
-            "journal-off disabled-overhead (--max-journal-overhead)",
-            record["prov"]["journal_disabled_overhead_pct"],
-            args.max_journal_overhead,
-            host,
-            PRE_PROV_BASELINE["host"],
-            mode="max",
-            unit="%",
-            fmt="{:+.1f}",
-        ):
-            return 1
     return 0
 
 

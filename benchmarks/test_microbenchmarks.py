@@ -1,14 +1,15 @@
 """Micro-benchmarks: throughput of the hot kernels.
 
 These are the performance-regression guards (no paper counterpart): the
-parser, the structured-recovery algorithm, symbolic plan simulation, GP
-generations, the DES engine and the reconstruction kernels.
+parser, the structured-recovery algorithm, symbolic plan simulation, the
+DES engine and the reconstruction kernels.  Batch evaluation and GP runs
+are timed by ``record_bench.py --suite planner``.
 """
 
 import numpy as np
 
 from repro.plan import process_to_tree, random_tree, tree_to_process
-from repro.planner import EvaluationEngine, GPConfig, GPPlanner, PlanEvaluator
+from repro.planner import PlanEvaluator
 from repro.process import parse_process, unparse
 from repro.sim import Engine
 from repro.virolab import (
@@ -46,76 +47,17 @@ def test_bench_tree_elaboration(benchmark):
 
 
 def test_bench_plan_simulation(benchmark):
-    problem = planning_problem()
-    evaluator = PlanEvaluator(problem)
+    """One Figure-10 plan evaluation on a fresh problem per round: each
+    problem owns a transition memo, so reusing one would time a warm memo."""
     tree = plan_tree()
 
-    def evaluate():
-        evaluator.clear_cache()
-        return evaluator(tree)
+    def fresh_evaluator():
+        return (PlanEvaluator(planning_problem()),), {}
 
-    fitness = benchmark(evaluate)
+    fitness = benchmark.pedantic(
+        lambda evaluator: evaluator(tree), setup=fresh_evaluator, rounds=20, iterations=1
+    )
     assert fitness.validity == 1.0
-
-
-def _bench_population(count=60, seed=0):
-    problem = planning_problem()
-    rng = np.random.default_rng(seed)
-    activities = list(problem.activity_names)
-    trees = [
-        random_tree(activities, max_size=40, rng=rng, max_branch=4)
-        for _ in range(count)
-    ]
-    return problem, trees
-
-
-def test_bench_evaluate_many_serial(benchmark):
-    """Population-60 batch through the engine's in-process backend
-    (cache cleared per round so every round simulates)."""
-    problem, trees = _bench_population()
-    engine = EvaluationEngine(problem)
-
-    def run():
-        engine.evaluator.clear_cache()
-        return engine.evaluate_many(trees)
-
-    fits = benchmark(run)
-    assert len(fits) == 60
-
-
-def test_bench_evaluate_many_parallel(benchmark):
-    """Same batch through the process-pool backend (2 workers, warm pool).
-
-    On a single-core host this measures dispatch overhead rather than a
-    speedup; compare against the serial benchmark and BENCH_planner.json.
-    """
-    problem, trees = _bench_population()
-    with EvaluationEngine(problem, workers=2, worker_cache_size=0) as engine:
-        engine.evaluate_many(trees[:2])  # warm up the pool outside timing
-
-        def run():
-            engine.evaluator.clear_cache()
-            return engine.evaluate_many(trees)
-
-        fits = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(fits) == 60
-    assert fits == EvaluationEngine(problem).evaluate_many(trees)
-
-
-def test_bench_evaluate_many_dedup(benchmark):
-    """Population-60 batch with only 12 unique structures: measures how
-    much in-batch dedup shaves off vs. the all-unique serial benchmark."""
-    problem, unique = _bench_population(count=12)
-    trees = [unique[i % 12] for i in range(60)]
-    engine = EvaluationEngine(problem)
-
-    def run():
-        engine.evaluator.clear_cache()
-        return engine.evaluate_many(trees)
-
-    fits = benchmark(run)
-    assert len(fits) == 60
-    assert engine.evaluations % 12 == 0
 
 
 def test_bench_random_tree_generation(benchmark):
@@ -123,18 +65,6 @@ def test_bench_random_tree_generation(benchmark):
     activities = list(planning_problem().activity_names)
     tree = benchmark(random_tree, activities, None, 40, rng)
     assert 1 <= tree.size <= 40
-
-
-def test_bench_gp_generation(benchmark):
-    """One full GP generation (population 60) on the case-study problem."""
-    problem = planning_problem()
-    cfg = GPConfig(population_size=60, generations=1)
-
-    def one_run():
-        return GPPlanner(cfg, rng=0).plan(problem)
-
-    result = benchmark.pedantic(one_run, rounds=3, iterations=1)
-    assert result.best_fitness.overall > 0
 
 
 def test_bench_des_engine_events(benchmark):

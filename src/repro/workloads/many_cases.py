@@ -15,9 +15,10 @@ reproduces that shape on the simulated grid:
   scheduling run the full candidate-ranking path on every dispatch.
 
 It is the benchmark workload for the enactment throughput layer (see
-``benchmarks/record_bench.py --suite enact``): the same workflow enacted
-K times is exactly the case the coordinator's compiled-program cache, the
-matchmaker's candidate cache and the router fast path are built for.
+gridbench's ``enact_burst`` and ``enact_stream`` workloads): the same
+workflow enacted K times is exactly the case the coordinator's
+compiled-program cache, the matchmaker's candidate cache and the router
+fast path are built for.
 """
 
 from __future__ import annotations

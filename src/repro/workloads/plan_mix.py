@@ -21,8 +21,8 @@ workload reproduces that traffic against the plan library
 
 Per-request *wall-clock* planning latency is measured around each RPC
 (the driver issues requests strictly sequentially, so each latency is one
-planning exchange), which is what ``record_bench.py --suite planlib``
-turns into the cold-vs-warm percentile comparison.
+planning exchange), as gridbench's ``plan_stream`` workload measures
+its own planning latency.
 """
 
 from __future__ import annotations

@@ -5,14 +5,20 @@ three verdicts — *confirmed* (execution windows overlap on the flagged
 key), *refuted* (both ran, windows disjoint), *unobserved* (the journal
 cannot decide) — and the evicted-case path proves a conflict is still
 checkable after its case's events round-trip through the storage mirror
-(``encode_events`` / ``decode_events`` / ``CaseJournal.absorb``).
+(``encode_events`` / ``decode_events`` / ``CaseJournal.absorb``).  The
+racy-fork specimen enacts a real two-branch race under ``journal=True``
+and requires every checkable static conflict to be journal-confirmed.
 """
 
 from types import SimpleNamespace
 
-from repro.analysis import race_witness
+from repro.analysis import interference_conflicts, race_witness
 from repro.analysis.concurrency import Conflict
+from repro.grid.container import EndUserService
 from repro.obs.journal import CaseJournal, JournalEvent, decode_events, encode_events
+from repro.process.builder import WorkflowBuilder
+from repro.process.model import Activity
+from repro.services.bootstrap import standard_environment
 
 WW = Conflict("write-write", "FORK", "R", "WA", "WB")
 RW = Conflict("read-write", "FORK", "Q", "RD", "WR")
@@ -130,3 +136,47 @@ class TestEvictedCaseFallback:
         assert case_id == "case-9"
         report = race_witness(events, [WW])
         assert [v.status for v in report.verdicts] == ["refuted"]
+
+
+class TestRacyForkSpecimen:
+    def test_enacted_race_is_confirmed(self):
+        """Both branches of the fork write ``r`` and run at once on two
+        containers, so the journal must confirm the static write-write
+        conflict.  The intake gate would refuse the specimen on its E601,
+        so this one grid tolerates that code."""
+        library = {
+            "WA": Activity("WA", service="SVA", inputs=("d0",), outputs=("r",)),
+            "WB": Activity("WB", service="SVB", inputs=("d0",), outputs=("r",)),
+        }
+        pd = (
+            WorkflowBuilder("racy-fork")
+            .fork(lambda b: b.activity("WA"), lambda b: b.activity("WB"))
+            .build(library)
+        )
+        services = [
+            EndUserService("SVA", work=3.0, effects={"r": {"Status": "ready"}}),
+            EndUserService("SVB", work=5.0, effects={"r": {"Status": "ready"}}),
+        ]
+        env, core, _ = standard_environment(services, containers=2, journal=True)
+        core.coordination.tolerated_findings = (
+            core.coordination.tolerated_findings | {"E601", "W602"}
+        )
+        outcome = {}
+
+        def enact():
+            outcome["reply"] = yield from core.coordination.call(
+                "coordination",
+                "execute-task",
+                {
+                    "process": pd,
+                    "initial_data": {"d0": {"Status": "ready"}},
+                    "task": "racy-0",
+                },
+            )
+
+        env.engine.spawn(enact(), "driver")
+        env.run(max_events=2_000_000)
+        assert outcome["reply"]["status"] == "completed"
+        report = race_witness(env.journal.events("racy-0"), interference_conflicts(pd))
+        assert report.checkable >= 1
+        assert report.precision == 1.0

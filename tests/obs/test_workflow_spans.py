@@ -1,9 +1,9 @@
 """End-to-end span telemetry over the many-cases workload.
 
 These are the acceptance tests from the observability milestone: spans
-stay default-off, a spans-on run pairs every span it opens, the per-case
-profile attributes >= 95% of case sim time, and the Chrome export of a
-real run validates.
+stay default-off, a spans-on run pairs every span it opens (with gauge
+sampling on too), the per-case profile attributes >= 95% of case sim
+time, and the Chrome export of a real run validates.
 """
 
 import pytest
@@ -19,6 +19,21 @@ CASES = 4
 @pytest.fixture(scope="module")
 def spans_run():
     return run_many_cases(cases=CASES, containers=2, spans=True)
+
+
+@pytest.fixture(scope="module")
+def gauged_run():
+    """Spans plus periodic gauge sampling: the sampler's own events run
+    between the cases' and must leave pairing and coverage intact."""
+    return run_many_cases(cases=CASES, containers=2, spans=True, gauge_period=5.0)
+
+
+def _assert_all_paired(run):
+    accounting = run["spans"]
+    assert accounting["enabled"] is True
+    assert accounting["started"] > 0
+    assert accounting["started"] == accounting["closed"]
+    assert accounting["open"] == 0
 
 
 class TestDefaultOff:
@@ -40,11 +55,11 @@ class TestDefaultOff:
 
 class TestAccounting:
     def test_all_spans_paired(self, spans_run):
-        accounting = spans_run["spans"]
-        assert accounting["enabled"] is True
-        assert accounting["started"] > 0
-        assert accounting["started"] == accounting["closed"]
-        assert accounting["open"] == 0
+        _assert_all_paired(spans_run)
+
+    def test_all_spans_paired_with_gauges(self, gauged_run):
+        _assert_all_paired(gauged_run)
+        assert gauged_run["env"].gauges.summary()
 
     def test_one_case_span_per_case(self, spans_run):
         recorder = spans_run["env"].spans
@@ -76,9 +91,16 @@ class TestAccounting:
 
 
 class TestProfileCoverage:
-    @pytest.mark.parametrize("case", [f"case-{i}" for i in range(CASES)])
-    def test_attributes_at_least_95_percent(self, spans_run, case):
-        profile = case_profile(spans_run["env"].spans, case=case)
+    @pytest.mark.parametrize(
+        "run, case",
+        [pytest.param("spans_run", f"case-{i}", id=f"case-{i}") for i in range(CASES)]
+        + [
+            pytest.param("gauged_run", f"case-{i}", id=f"gauges-case-{i}")
+            for i in range(CASES)
+        ],
+    )
+    def test_attributes_at_least_95_percent(self, request, run, case):
+        profile = case_profile(request.getfixturevalue(run)["env"].spans, case=case)
         assert profile["coverage"] >= 0.95
 
     def test_activity_rows_match_enactment(self, spans_run):
